@@ -15,7 +15,8 @@ reports and artifacts up to the wall-time field.  A scenario may also read a
 JSON config file (``--config``); explicit flags win over file values, and
 unknown config keys are rejected.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config
+(a value of the wrong type or out of range, or an unwritable ``--out``).
 """
 
 from __future__ import annotations
@@ -27,18 +28,21 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import jsonschema
 import numpy as np
 
 from . import envariance as env
 from .collapse import (
+    DENSE_MAP_LIMIT,
     RationalWeights,
     bleach,
+    bleach_map,
     born_from_envariance,
     controlled_shift_gate,
     darwinism_curve,
+    gate_defect,
     global_entropy,
     premeasure,
     recover,
@@ -94,6 +98,7 @@ REPORT_SCHEMA = {
         "results": {"type": "object"},
     },
 }
+_REPORT_VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -122,6 +127,11 @@ class ScenarioConfig:
     inputs: int = 50             # nohide
 
     def validate(self) -> None:
+        for name, hint in get_type_hints(ScenarioConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                raise ConfigError(f"{name}: expected "
+                                  f"{self.__annotations__[name]}, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: unknown scenario {self.scenario!r}")
         if self.seed < 0:
@@ -160,6 +170,18 @@ class ScenarioConfig:
                 raise ConfigError("dim: need 2 <= dim with dim^3 within budget")
             if not 2 <= self.inputs <= 500:
                 raise ConfigError("inputs: must lie in [2, 500]")
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation: a bool is no number, an int is a float."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_has_type(v, args[0]) for v in value)
+    if args:  # Optional[X]
+        return value is None or _has_type(value, args[0])
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _check(name: str, residual: float, tolerance: float) -> dict:
@@ -302,8 +324,7 @@ def _run_born(cfg: ScenarioConfig):
                outcome.transposition_residual_max, cfg.tolerance),
         _check("probabilities_equal_squared_spectrum", spectrum_gap,
                DEFAULT_TOL.born_amplitude),
-        _check("fine_graining_unitary",
-               outcome.fine_grain_unitary.unitarity_defect(),
+        _check("fine_graining_unitary", gate_defect(outcome.fine_grain_unitary),
                DEFAULT_TOL.unitary),
         _check("global_purity", abs(global_entropy(outcome.fine)), 1e-9),
     ]
@@ -333,7 +354,7 @@ def _run_darwinism(cfg: ScenarioConfig):
     )
     checks = [
         _check("broadcast_gate_unitary",
-               controlled_shift_gate(2).unitarity_defect(), DEFAULT_TOL.unitary),
+               gate_defect(controlled_shift_gate(2)), DEFAULT_TOL.unitary),
         _check("global_purity", abs(global_entropy(branching.joint)), 1e-9),
         _check("complementarity_defect", complementarity, 1e-9),
         _check("curve_monotone_defect", monotone_defect, 1e-9),
@@ -364,7 +385,6 @@ def _run_nohide(cfg: ScenarioConfig):
     sigmas = []
     mixed_worst = 0.0
     fidelity_worst = 1.0
-    unitary_defect = 0.0
     ancilla_dims_ok = True
     maximally_mixed = np.eye(d) / d
     for _ in range(cfg.inputs):
@@ -374,10 +394,9 @@ def _run_nohide(cfg: ScenarioConfig):
         mixed_worst = max(mixed_worst, float(np.max(np.abs(
             result.sigma_system.entries - maximally_mixed))))
         ancilla_dims_ok &= (math.prod(result.joint.factor_dims[1:]) == d * d)
-        if result.unitary is not None:
-            unitary_defect = max(unitary_defect, result.unitary.unitarity_defect())
         fidelity_worst = min(fidelity_worst,
                              fidelity(recover(result.joint), psi))
+    unitary_defect = gate_defect(bleach_map(d)) if d ** 3 <= DENSE_MAP_LIMIT else 0.0
     pairwise_worst = 0.0
     for i in range(len(sigmas)):
         for j in range(i + 1, len(sigmas)):
@@ -416,15 +435,9 @@ def run(cfg: ScenarioConfig) -> tuple[dict, int]:
     checks, results, artifact_payloads = _RUNNERS[cfg.scenario](cfg)
     elapsed = time.perf_counter() - started
 
-    artifacts = []
-    if cfg.out is not None:
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, payload in artifact_payloads.items():
-            path = out_dir / name
-            path.write_text(payload)
-            artifacts.append(str(path))
-
+    out_dir = None if cfg.out is None else Path(cfg.out)
+    artifacts = [] if out_dir is None else \
+        [str(out_dir / name) for name in artifact_payloads]
     config_echo = asdict(cfg)
     config_echo["weights"] = list(config_echo["weights"])
     report = {
@@ -437,10 +450,16 @@ def run(cfg: ScenarioConfig) -> tuple[dict, int]:
         "artifacts": artifacts,
         "results": results,
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
-    if cfg.out is not None:
-        report_path = Path(cfg.out) / "report.json"
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _REPORT_VALIDATOR.validate(report)
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, payload in artifact_payloads.items():
+                (out_dir / name).write_text(payload)
+            (out_dir / "report.json").write_text(
+                json.dumps(report, sort_keys=True, indent=2) + "\n")
+        except OSError as err:
+            raise ConfigError(f"out: cannot write {cfg.out}: {err}") from err
     return report, (0 if report["passed"] else 1)
 
 
@@ -496,8 +515,8 @@ def _load_config(scenario: str, args: argparse.Namespace) -> ScenarioConfig:
         unknown = set(file_values) - known
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
-        if "weights" in file_values:
-            file_values["weights"] = tuple(int(w) for w in file_values["weights"])
+        if isinstance(file_values.get("weights"), list):
+            file_values["weights"] = tuple(file_values["weights"])
         merged.update(file_values)
         if file_values.get("scenario", scenario) != scenario:
             raise ConfigError("config: scenario in file disagrees with argument")

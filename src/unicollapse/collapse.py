@@ -49,42 +49,59 @@ class BudgetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Gate plumbing (dense two-site gates applied by tensor reshaping)
+# Gate plumbing: a permutation gate is an int array, the image of each basis
+# index; a diagonal gate is its 1-D diagonal; any other gate is a dense matrix
 # ---------------------------------------------------------------------------
 
 def _apply_gate(amps: np.ndarray, dims: Sequence[int], gate: np.ndarray,
                 axes: Sequence[int]) -> np.ndarray:
-    """Apply a dense gate to the given axes of a flattened state."""
+    """Apply a gate to the given axes of a flattened state.
+
+    ``amps`` may also be a matrix holding one flattened state per column.
+    """
     n = len(dims)
-    axes = list(axes)
-    rest = [i for i in range(n) if i not in axes]
-    block = math.prod(dims[i] for i in axes)
-    moved = np.transpose(amps.reshape(dims), axes + rest).reshape(block, -1)
-    moved = gate @ moved
-    back = moved.reshape([dims[i] for i in axes] + [dims[i] for i in rest])
-    inverse = np.argsort(axes + rest)
-    return np.transpose(back, inverse).reshape(-1)
+    order = list(axes) + [i for i in range(n) if i not in axes]
+    order += range(n, amps.ndim + n - 1)  # the column axis, if any
+    moved = np.transpose(amps.reshape(*dims, *amps.shape[1:]), order)
+    shape = moved.shape
+    moved = moved.reshape(math.prod(dims[i] for i in axes), -1)
+    if gate.ndim == 2:
+        moved = gate @ moved
+    elif gate.dtype.kind in "iu":  # row i moves to row gate[i]
+        moved = moved[np.argsort(gate)]
+    else:
+        moved = gate[:, None] * moved
+    return np.transpose(moved.reshape(shape), np.argsort(order)).reshape(amps.shape)
 
 
-def _require_unitary(matrix: np.ndarray, what: str,
-                     tol: Tolerances = DEFAULT_TOL) -> Operator:
-    op = Operator(matrix)
-    if not op.is_unitary(tol):
-        raise ValueError(f"{what} failed the unitarity check "
-                         f"(defect {op.unitarity_defect():.3e})")
-    return op
+def gate_defect(gate) -> float:
+    """max-norm of U^dag U - I for a gate in any of the three forms.
+
+    A permutation gives exactly 0.0 when its index array is a bijection and
+    1.0 when it is not, as its dense 0/1 matrix would.
+    """
+    gate = np.asarray(gate)
+    if gate.ndim == 2:
+        return Operator(gate).unitarity_defect()
+    if gate.dtype.kind in "iu":
+        return 0.0 if np.array_equal(np.sort(gate), np.arange(gate.size)) else 1.0
+    return float(np.max(np.abs(np.abs(gate) ** 2 - 1.0)))
 
 
-def controlled_shift_gate(dim: int) -> Operator:
+def _require_unitary(gate: np.ndarray, what: str) -> np.ndarray:
+    defect = gate_defect(gate)
+    if defect > DEFAULT_TOL.unitary:
+        raise ValueError(f"{what} failed the unitarity check (defect {defect:.3e})")
+    return gate
+
+
+def controlled_shift_gate(dim: int) -> np.ndarray:
     """|k, j> -> |k, j+k mod dim>; the perfect-record broadcast gate."""
-    gate = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim):
-        for j in range(dim):
-            gate[k * dim + (j + k) % dim, k * dim + j] = 1.0
-    return _require_unitary(gate, "controlled shift")
+    k, j = np.divmod(np.arange(dim * dim), dim)
+    return _require_unitary(k * dim + (j + k) % dim, "controlled shift")
 
 
-def controlled_rotation_gate(angle: float) -> Operator:
+def controlled_rotation_gate(angle: float) -> np.ndarray:
     """Qubit gate writing records |0> and cos(angle)|0> + sin(angle)|1>.
 
     At angle pi/2 this is the perfect-record controlled flip; smaller angles
@@ -98,7 +115,7 @@ def controlled_rotation_gate(angle: float) -> Operator:
     return _require_unitary(gate, "controlled rotation")
 
 
-def fourier_matrix(dim: int) -> Operator:
+def fourier_matrix(dim: int) -> np.ndarray:
     j = np.arange(dim)
     omega = np.exp(2j * np.pi / dim)
     return _require_unitary(omega ** np.outer(j, j) / math.sqrt(dim),
@@ -126,8 +143,7 @@ class BranchingState:
 
 
 def premeasure(system: StateVector, n_env: int,
-               record_angle: Optional[float] = None,
-               tol: Tolerances = DEFAULT_TOL) -> BranchingState:
+               record_angle: Optional[float] = None) -> BranchingState:
     """Broadcast the system basis onto ``n_env`` fresh environment registers.
 
     The perfect-record map sends |k>|0...0> to |k>|k...k> via one controlled
@@ -159,7 +175,7 @@ def premeasure(system: StateVector, n_env: int,
     joint = tensor(system, *(basis_state(d_s, 0) for _ in range(n_env)))
     amps = joint.amplitudes
     for register in range(1, n_env + 1):
-        amps = _apply_gate(amps, joint.factor_dims, gate.entries, [0, register])
+        amps = _apply_gate(amps, joint.factor_dims, gate, [0, register])
     labels = tuple(
         (k, complex(a)) for k, a in enumerate(system.amplitudes)
         if abs(a) > 1e-14
@@ -235,14 +251,15 @@ class BornOutcome:
     ``coarse`` is the pre-fine-graining state on system (x) environment;
     ``fine`` adds the record register, carrying all ``total`` branches at
     amplitude 1/sqrt(M).  ``probabilities`` are exact rationals m_k / M and
-    equal the squared Schmidt coefficients of ``coarse``.
+    equal the squared Schmidt coefficients of ``coarse``, and
+    ``fine_grain_unitary`` is the permutation gate that copies the fine index.
     """
 
     weights: RationalWeights
     probabilities: tuple[Fraction, ...]
     coarse: StateVector
     fine: StateVector
-    fine_grain_unitary: Operator
+    fine_grain_unitary: np.ndarray
     transpositions_checked: int
     transposition_residual_max: float
 
@@ -275,8 +292,8 @@ def born_from_envariance(weights: RationalWeights,
 
     fine_grain = controlled_shift_gate(m_total)
     start = tensor(coarse_state, basis_state(m_total, 0))
-    fine_amps = _apply_gate(start.amplitudes, start.factor_dims,
-                            fine_grain.entries, [1, 2])
+    fine_amps = _apply_gate(start.amplitudes, start.factor_dims, fine_grain,
+                            [1, 2])
     fine_state = StateVector(fine_amps, (k_outcomes, m_total, m_total))
 
     populated = np.abs(fine_state.amplitudes) > tol.rank_cutoff
@@ -449,42 +466,35 @@ def redundancy(curve: MutualInformationCurve, delta: float) -> float:
 
 @dataclass(frozen=True)
 class BleachResult:
-    """Bleached joint state on system (x) d^2 ancilla, plus the fixed marginal.
-
-    ``unitary`` is the dense bleaching map, materialized only when the joint
-    dimension is small enough to build it outright.
-    """
+    """Bleached joint state on system (x) d^2 ancilla, plus the fixed marginal."""
 
     joint: StateVector
     sigma_system: DensityMatrix
-    unitary: Optional[Operator]
 
 
-_DENSE_UNITARY_LIMIT = 4096
+DENSE_MAP_LIMIT = 4096
 
 
 def _controlled_phase(d: int) -> np.ndarray:
     """Diagonal gate omega^{s b} over the index pair (s, b)."""
     omega = np.exp(2j * np.pi / d)
     exponents = np.multiply.outer(np.arange(d), np.arange(d)).reshape(-1)
-    return np.diag(omega ** exponents)
+    return _require_unitary(omega ** exponents, "controlled phase")
 
 
-def _swap_control(gate: np.ndarray, d: int) -> np.ndarray:
-    """Reindex a two-site gate so its roles are (target, control)."""
-    return gate.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-
-def _bleach_apply(amps: np.ndarray, d: int, fourier: np.ndarray,
-                  shift_by_control: np.ndarray, phase: np.ndarray) -> np.ndarray:
+def _bleach_apply(amps: np.ndarray, d: int) -> np.ndarray:
+    """The bleaching map on flattened (d, d, d) states, one per column."""
     dims = (d, d, d)
+    fourier = fourier_matrix(d)
     amps = _apply_gate(amps, dims, fourier, [1])
     amps = _apply_gate(amps, dims, fourier, [2])
-    amps = _apply_gate(amps, dims, shift_by_control, [0, 1])
-    return _apply_gate(amps, dims, phase, [0, 2])
+    # the broadcast gate shifts its second index by its first; on axes [1, 0]
+    # the first ancilla register controls a shift of the system
+    amps = _apply_gate(amps, dims, controlled_shift_gate(d), [1, 0])
+    return _apply_gate(amps, dims, _controlled_phase(d), [0, 2])
 
 
-def bleach(psi: StateVector, tol: Tolerances = DEFAULT_TOL) -> BleachResult:
+def bleach(psi: StateVector) -> BleachResult:
     """Hide ``psi`` in a d^2-dimensional ancilla, leaving the system blank.
 
     The ancilla (two fresh d-dimensional registers) is Fourier-spread and
@@ -498,33 +508,20 @@ def bleach(psi: StateVector, tol: Tolerances = DEFAULT_TOL) -> BleachResult:
         raise DimensionMismatchError("bleaching needs dimension at least 2")
     if d ** 3 > DIM_BUDGET:
         raise BudgetError(f"joint dimension {d}^3 exceeds the budget {DIM_BUDGET}")
-    fourier = fourier_matrix(d).entries
-    # the broadcast gate shifts its first index by its second; here the
-    # system is the target and the first ancilla register the control
-    shift_by_control = _swap_control(controlled_shift_gate(d).entries, d)
-    phase = _require_unitary(_controlled_phase(d), "controlled phase").entries
-
     amps = tensor(psi, basis_state(d, 0), basis_state(d, 0)).amplitudes
-    amps = _bleach_apply(amps, d, fourier, shift_by_control, phase)
-    joint = StateVector(amps, (d, d, d))
-
-    unitary = None
-    if d ** 3 <= _DENSE_UNITARY_LIMIT:
-        columns = np.eye(d ** 3, dtype=complex)
-        dense = np.column_stack([
-            _bleach_apply(columns[:, i], d, fourier, shift_by_control, phase)
-            for i in range(d ** 3)
-        ])
-        unitary = _require_unitary(dense, "bleach map", tol)
-
-    return BleachResult(
-        joint=joint,
-        sigma_system=partial_trace(joint, keep=[0]),
-        unitary=unitary,
-    )
+    joint = StateVector(_bleach_apply(amps, d), (d, d, d))
+    return BleachResult(joint=joint, sigma_system=partial_trace(joint, keep=[0]))
 
 
-def recover(joint: StateVector, tol: Tolerances = DEFAULT_TOL) -> StateVector:
+def bleach_map(d: int) -> np.ndarray:
+    """The input-independent bleaching map as a dense, unitarity-checked matrix."""
+    if d ** 3 > DENSE_MAP_LIMIT:
+        raise BudgetError(f"dense map dimension {d}^3 exceeds {DENSE_MAP_LIMIT}")
+    return _require_unitary(_bleach_apply(np.eye(d ** 3, dtype=complex), d),
+                            "bleach map")
+
+
+def recover(joint: StateVector) -> StateVector:
     """Undo a bleach by acting on the ancilla alone, then one fixed swap.
 
     The ancilla-local step inverts the Fourier spread on the second register
@@ -538,14 +535,10 @@ def recover(joint: StateVector, tol: Tolerances = DEFAULT_TOL) -> StateVector:
             f"expected a (d, d, d) bleached joint, got factors {dims}"
         )
     d = dims[0]
-    fourier = fourier_matrix(d)
-    amps = _apply_gate(joint.amplitudes, dims, fourier.dagger.entries, [2])
-    relabel = np.zeros((d * d, d * d), dtype=complex)
-    for u in range(d):
-        for v in range(d):
-            relabel[((v - u) % d) * d + v, u * d + v] = 1.0
-    relabel_gate = _require_unitary(relabel, "ancilla relabeling")
-    amps = _apply_gate(amps, dims, relabel_gate.entries, [1, 2])
+    amps = _apply_gate(joint.amplitudes, dims, fourier_matrix(d).conj().T, [2])
+    u, v = np.divmod(np.arange(d * d), d)
+    relabel = _require_unitary((v - u) % d * d + v, "ancilla relabeling")
+    amps = _apply_gate(amps, dims, relabel, [1, 2])
     swapped = StateVector(amps, dims).reordered([1, 0, 2])
     reduced = partial_trace(swapped, keep=[0])
     eigenvalues, eigenvectors = np.linalg.eigh(reduced.entries)

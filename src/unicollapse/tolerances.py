@@ -14,7 +14,6 @@ from dataclasses import dataclass
 class Tolerances:
     norm: float = 1e-12            # unit-norm check on state construction
     unitary: float = 1e-10         # max-norm bound on U^dag U - I
-    schmidt: float = 1e-10         # reconstruction residual, basis orthonormality
     density: float = 1e-10         # hermiticity, trace-one, eigenvalue floor
     spectrum: float = 1e-9         # Schmidt-spectrum comparison / degeneracy grouping
     witness: float = 1e-9          # residual bound for an accepted witness

@@ -22,11 +22,13 @@ from unicollapse.cli import main as cli_main
 from unicollapse.collapse import (
     RationalWeights,
     bleach,
+    bleach_map,
     born_from_envariance,
     controlled_rotation_gate,
     controlled_shift_gate,
     darwinism_curve,
     fourier_matrix,
+    gate_defect,
     global_entropy,
     premeasure,
     recover,
@@ -329,18 +331,17 @@ def test_criterion_7_no_hiding():
 
 def test_criterion_8_global_unitarity_and_purity():
     defects = {
-        "controlled_shift_d2": controlled_shift_gate(2).unitarity_defect(),
-        "controlled_shift_d3": controlled_shift_gate(3).unitarity_defect(),
-        "controlled_shift_d12": controlled_shift_gate(12).unitarity_defect(),
-        "controlled_rotation": controlled_rotation_gate(np.pi / 4).unitarity_defect(),
-        "fourier_d2": fourier_matrix(2).unitarity_defect(),
-        "fourier_d3": fourier_matrix(3).unitarity_defect(),
+        "controlled_shift_d2": gate_defect(controlled_shift_gate(2)),
+        "controlled_shift_d3": gate_defect(controlled_shift_gate(3)),
+        "controlled_shift_d12": gate_defect(controlled_shift_gate(12)),
+        "controlled_rotation": gate_defect(controlled_rotation_gate(np.pi / 4)),
+        "fourier_d2": gate_defect(fourier_matrix(2)),
+        "fourier_d3": gate_defect(fourier_matrix(3)),
     }
     born = born_from_envariance(RationalWeights((2, 3, 5)))
-    defects["fine_graining"] = born.fine_grain_unitary.unitarity_defect()
+    defects["fine_graining"] = gate_defect(born.fine_grain_unitary)
     for d in (2, 3):
-        result = bleach(random_state(d, d))
-        defects[f"bleach_d{d}"] = result.unitary.unitarity_defect()
+        defects[f"bleach_d{d}"] = gate_defect(bleach_map(d))
 
     purities = {
         "premeasure_ghz8": global_entropy(

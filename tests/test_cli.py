@@ -131,6 +131,33 @@ def test_malformed_weights_flag(capsys):
     assert main(["born", "--weights", "1,x"]) == 2
 
 
+@pytest.mark.parametrize("values", [
+    {"seed": "abc"}, {"env_qubits": 3.5}, {"weights": ["x"]},
+])
+def test_mistyped_config_values_exit_two(tmp_path, capsys, values):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(values))
+    assert main(["darwinism", "--config", str(config)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["born", "--weights", "1,2", "--out", str(blocker / "x")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_validate_checks_field_types():
+    for bad in ({"seed": True}, {"seed": 1.0}, {"dim": "3"},
+                {"record_angle": "0.5"}, {"weights": (1, 2.0)},
+                {"weights": [1, 2]}, {"out": 3}, {"tolerance": None}):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(scenario="nohide", **bad).validate()
+    # an int is a valid float, and None a valid Optional
+    ScenarioConfig(scenario="darwinism", record_angle=1, denominator=None).validate()
+
+
 def test_unknown_scenario_rejected_by_parser():
     with pytest.raises(SystemExit) as exit_info:
         main(["definitely-not-a-scenario"])
@@ -149,6 +176,7 @@ def test_validate_rejects_out_of_range_fields():
 
 
 def test_run_reports_validate_against_schema():
+    jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
     report, code = run(ScenarioConfig(scenario="born", weights=(2, 2)))
     assert code == 0
     jsonschema.validate(report, REPORT_SCHEMA)

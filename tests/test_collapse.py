@@ -12,11 +12,16 @@ from unicollapse.collapse import (
     CurvePoint,
     MutualInformationCurve,
     RationalWeights,
+    _apply_gate,
+    _controlled_phase,
+    _require_unitary,
     bleach,
+    bleach_map,
     born_from_envariance,
     controlled_rotation_gate,
     controlled_shift_gate,
     darwinism_curve,
+    gate_defect,
     global_entropy,
     premeasure,
     recover,
@@ -99,9 +104,72 @@ def test_premeasure_budget():
 
 def test_broadcast_gates_are_unitary():
     for dim in (2, 3, 5, 7):
-        assert controlled_shift_gate(dim).unitarity_defect() <= 1e-10
+        assert gate_defect(controlled_shift_gate(dim)) <= 1e-10
     for angle in (0.0, 0.3, np.pi / 4, np.pi / 2):
-        assert controlled_rotation_gate(angle).unitarity_defect() <= 1e-10
+        assert gate_defect(controlled_rotation_gate(angle)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# structured gates against their dense matrices
+# ---------------------------------------------------------------------------
+
+def dense_controlled_shift(d: int) -> np.ndarray:
+    """|k, j> -> |k, j+k mod d> as a 0/1 matrix."""
+    gate = np.zeros((d * d, d * d))
+    for k in range(d):
+        for j in range(d):
+            gate[k * d + (j + k) % d, k * d + j] = 1.0
+    return gate
+
+
+def dense_relabel(d: int) -> np.ndarray:
+    """|u, v> -> |v - u mod d, v> as a 0/1 matrix."""
+    gate = np.zeros((d * d, d * d))
+    for u in range(d):
+        for v in range(d):
+            gate[((v - u) % d) * d + v, u * d + v] = 1.0
+    return gate
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_structured_gates_equal_dense_gates(d):
+    u, v = np.divmod(np.arange(d * d), d)
+    phase = _controlled_phase(d)
+    cases = [
+        (controlled_shift_gate(d), dense_controlled_shift(d)),
+        ((v - u) % d * d + v, dense_relabel(d)),
+        (phase, np.diag(phase)),
+    ]
+    rng = np.random.default_rng(d)
+    dims = (d, d, d)
+    single = random_state(d ** 3, rng).amplitudes
+    batch = rng.normal(size=(d ** 3, 4)) + 1j * rng.normal(size=(d ** 3, 4))
+    for structured, dense in cases:
+        for axes in ([0, 2], [2, 0], [1, 0]):
+            for amps in (single, batch):
+                got = _apply_gate(amps, dims, structured, axes)
+                want = _apply_gate(amps, dims, dense, axes)
+                if structured is phase:
+                    # one complex product each, rounded apart from BLAS's
+                    bound = 4 * np.finfo(float).eps * np.max(np.abs(amps))
+                    np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+                else:
+                    np.testing.assert_array_equal(got, want)
+        # a batch is the same as its columns one at a time
+        got = _apply_gate(batch, dims, structured, [1, 0])
+        for column in range(batch.shape[1]):
+            np.testing.assert_array_equal(
+                got[:, column], _apply_gate(batch[:, column], dims, structured, [1, 0]))
+
+
+def test_gate_defect_flags_broken_structured_gates():
+    assert gate_defect([0, 0, 2]) == 1.0
+    assert gate_defect([2, 0, 1]) == 0.0
+    assert gate_defect(np.array([1.0, 0.9, 1j])) == pytest.approx(0.19, abs=1e-15)
+    with pytest.raises(ValueError):
+        _require_unitary(np.array([0, 0, 2]), "non-bijective permutation")
+    with pytest.raises(ValueError):
+        _require_unitary(np.array([1.0, 0.9, 1j]), "shrinking diagonal")
 
 
 def test_premeasure_preserves_global_purity():
@@ -151,7 +219,7 @@ def test_born_probabilities_equal_squared_schmidt():
 
 def test_born_fine_graining_is_unitary_and_pure():
     out = born_from_envariance(RationalWeights((2, 1)))
-    assert out.fine_grain_unitary.unitarity_defect() <= 1e-10
+    assert gate_defect(out.fine_grain_unitary) <= 1e-10
     assert abs(global_entropy(out.fine)) <= 1e-9
     assert abs(global_entropy(out.coarse)) <= 1e-9
 
@@ -310,9 +378,21 @@ def test_bleach_and_recover_qutrits():
 
 def test_bleach_map_is_unitary_and_pure():
     res = bleach(random_state(3, 4))
-    assert res.unitary is not None
-    assert res.unitary.unitarity_defect() <= 1e-10
+    assert gate_defect(bleach_map(3)) <= 1e-10
     assert abs(global_entropy(res.joint)) <= 1e-9
+
+
+def test_bleach_map_matches_structured_bleach():
+    for d in (2, 3):
+        dense = bleach_map(d)
+        for seed in range(3):
+            psi = random_state(d, seed)
+            start = tensor(psi, basis_state(d, 0), basis_state(d, 0))
+            np.testing.assert_allclose(dense @ start.amplitudes,
+                                       bleach(psi).joint.amplitudes,
+                                       rtol=0, atol=1e-12)
+    with pytest.raises(BudgetError):
+        bleach_map(17)
 
 
 def test_bleach_budget():
