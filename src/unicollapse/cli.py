@@ -5,7 +5,7 @@ Usage:
     unicollapse envariance-restore --trials 100 --seed 7
     unicollapse equiv-laws --triples 200 --seed 3
     unicollapse born --weights 2,3,5 --denominator 10
-    unicollapse darwinism --env-qubits 8 --state ghz --seed 7 --out runs/darwin
+    unicollapse darwinism --env-qubits 8 --seed 7 --out runs/darwin
     unicollapse nohide --dim 3 --inputs 50 --seed 1
 
 Every run emits a ``report-v1`` JSON document (stdout, plus ``report.json``
@@ -37,10 +37,10 @@ from . import envariance as env
 from .collapse import (
     DENSE_MAP_LIMIT,
     RationalWeights,
+    _marginal_entropy,
     bleach,
     bleach_map,
     born_from_envariance,
-    controlled_shift_gate,
     darwinism_curve,
     gate_defect,
     global_entropy,
@@ -119,7 +119,6 @@ class ScenarioConfig:
     weights: tuple[int, ...] = (1, 1)   # born
     denominator: Optional[int] = None   # born (consistency check)
     env_qubits: int = 8          # darwinism
-    state: str = "ghz"           # darwinism input family
     record_angle: Optional[float] = None  # darwinism imperfect records
     samples_per_size: int = 2000  # darwinism
     delta: float = 0.1           # darwinism redundancy threshold
@@ -157,8 +156,6 @@ class ScenarioConfig:
         if self.scenario == "darwinism":
             if not 1 <= self.env_qubits <= 12:
                 raise ConfigError("env_qubits: must lie in [1, 12]")
-            if self.state != "ghz":
-                raise ConfigError(f"state: unknown input family {self.state!r}")
             if self.samples_per_size < 1:
                 raise ConfigError("samples_per_size: must be positive")
             if not 0 < self.delta < 1:
@@ -352,10 +349,17 @@ def _run_darwinism(cfg: ScenarioConfig):
     monotone_defect = max(
         [0.0] + [curve.mean_at(f) - curve.mean_at(f + 1) for f in range(n)]
     )
+    joint = branching.joint  # the dense path checks each size's first fragment
+    h_dense = _marginal_entropy(joint, [0])
+    gram_gap = max(abs(p.first_information - h_dense
+                       - _marginal_entropy(joint, list(p.first_fragment))
+                       + _marginal_entropy(joint, [0, *p.first_fragment]))
+                   for p in curve.points[1:])
     checks = [
-        _check("broadcast_gate_unitary",
-               gate_defect(controlled_shift_gate(2)), DEFAULT_TOL.unitary),
-        _check("global_purity", abs(global_entropy(branching.joint)), 1e-9),
+        _check("broadcast_gate_unitary", gate_defect(branching.gate),
+               DEFAULT_TOL.unitary),
+        _check("global_purity", abs(global_entropy(joint)), 1e-9),
+        _check("gram_matches_dense", gram_gap, DEFAULT_TOL.witness),
         _check("complementarity_defect", complementarity, 1e-9),
         _check("curve_monotone_defect", monotone_defect, 1e-9),
     ]
@@ -491,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated positive integers")
     parser.add_argument("--denominator", type=int, default=None)
     parser.add_argument("--env-qubits", dest="env_qubits", type=int, default=None)
-    parser.add_argument("--state", type=str, default=None)
     parser.add_argument("--record-angle", dest="record_angle", type=float,
                         default=None)
     parser.add_argument("--samples-per-size", dest="samples_per_size", type=int,

@@ -1,20 +1,22 @@
 """Unitary measurement models: broadcast, fine-graining, redundancy, bleaching.
 
 Everything here is a pure unitary map on an explicit joint state vector; no
-step ever leaves the pure-state representation, and each evolution map is
-checked against the unitarity tolerance when constructed.
+step ever leaves the pure-state representation, and each gate is checked
+against the unitarity tolerance (the dense ``bleach_map`` by its caller).
 
 * ``premeasure`` broadcasts a system basis onto environment registers with a
   generalized controlled shift (or a controlled rotation when imperfect
   records with a declared overlap are wanted), producing branching states
-  whose pointer basis states are fixed points.
+  whose pointer basis states are fixed points, and keeps the gate and records.
 * ``born_from_envariance`` realizes probability extraction for rational
   squared amplitudes: the environment register is fine-grained against an
   equal-size record register so that every fine branch carries amplitude
   1/sqrt(M), at which point every branch transposition is envariant and the
   outcome weights are exact branch counts.
 * ``darwinism_curve`` / ``redundancy`` quantify how many environment
-  fragments independently carry the system's classical information.
+  fragments independently carry the system's classical information.  Every
+  I(S:F) comes from d_s x d_s branch Gram matrices (``fragment_information``),
+  cross-checked in the darwinism scenario against a dense partial trace.
 * ``bleach`` / ``recover`` implement information hiding into a d^2 ancilla:
   the system marginal becomes input-independent while the input stays
   recoverable by operations on the ancilla alone plus one fixed swap.
@@ -131,14 +133,14 @@ class BranchingState:
     """System-plus-environment state after a broadcast premeasurement.
 
     ``branch_labels`` pairs each populated system basis index with its
-    amplitude; ``record_overlap`` is the inner product between any two
-    distinct per-factor environment records (0 for perfect records).
+    amplitude; ``records[j - 1, k]`` is the state branch k wrote on register
+    j, read off ``gate``, the broadcast gate that was applied.
     """
 
     joint: StateVector
     branch_labels: tuple[tuple[int, complex], ...]
-    record_overlap: float
-    system_dim: int
+    records: np.ndarray
+    gate: np.ndarray
     n_env: int
 
 
@@ -164,18 +166,19 @@ def premeasure(system: StateVector, n_env: int,
         )
     if record_angle is None:
         gate = controlled_shift_gate(d_s)
-        overlap = 0.0
     else:
         if d_s != 2:
             raise DimensionMismatchError(
                 "imperfect records are implemented for qubit systems only"
             )
         gate = controlled_rotation_gate(record_angle)
-        overlap = math.cos(record_angle)
     joint = tensor(system, *(basis_state(d_s, 0) for _ in range(n_env)))
     amps = joint.amplitudes
     for register in range(1, n_env + 1):
         amps = _apply_gate(amps, joint.factor_dims, gate, [0, register])
+    # column k is gate |k, 0>; its register part is the record of branch k
+    written = _apply_gate(np.eye(d_s * d_s, dtype=complex)[:, ::d_s],
+                          (d_s, d_s), gate, [0, 1]).reshape(d_s, d_s, d_s)
     labels = tuple(
         (k, complex(a)) for k, a in enumerate(system.amplitudes)
         if abs(a) > 1e-14
@@ -183,8 +186,8 @@ def premeasure(system: StateVector, n_env: int,
     return BranchingState(
         joint=StateVector(amps, joint.factor_dims),
         branch_labels=labels,
-        record_overlap=overlap,
-        system_dim=d_s,
+        records=np.broadcast_to(np.einsum("kjk->kj", written), (n_env, d_s, d_s)),
+        gate=gate,
         n_env=n_env,
     )
 
@@ -351,6 +354,8 @@ class CurvePoint:
     fragment_size: int
     mean_information: float
     samples: int
+    first_fragment: tuple[int, ...] = ()  # the first fragment evaluated
+    first_information: float = 0.0       # and its I(S:F)
 
 
 @dataclass(frozen=True)
@@ -403,6 +408,34 @@ def _marginal_entropy(joint: StateVector, keep: list[int]) -> float:
     return entropy(partial_trace(joint, keep=complement))
 
 
+def fragment_information(state: BranchingState,
+                         fragments: np.ndarray) -> tuple[float, np.ndarray]:
+    """H_S, and I(S:F) in bits for each row of ``fragments`` (registers 1..N).
+
+    Every entropy is that of a branch Gram matrix, found by one batched
+    eigensolve floored as in ``entropy``: H_F of G_F[k, l] = sqrt(p_k p_l)
+    prod_{j in F} <r_k^j|r_l^j>, H_SF of the complement's (the global state
+    is pure), and H_S of rho_S[k, l] = a_k conj(a_l) prod_j <r_l^j|r_k^j>.
+    """
+    index, amps = (np.array(v) for v in zip(*state.branch_labels))
+    records = state.records[:, index]
+    overlaps = np.einsum("jka,jla->jkl", records.conj(), records)
+    fragments = np.asarray(fragments) - 1
+    outside = np.ones((len(fragments), state.n_env), dtype=bool)
+    np.put_along_axis(outside, fragments, False, axis=1)
+    rest = np.nonzero(outside)[1].reshape(len(fragments), -1)
+    weights = np.outer(np.abs(amps), np.abs(amps))
+    eigs = np.linalg.eigvalsh(np.concatenate([
+        weights * np.prod(overlaps[fragments], axis=1),
+        weights * np.prod(overlaps[rest], axis=1),
+        [np.outer(amps, amps.conj()) * np.prod(overlaps, axis=0).T],
+    ]))
+    eigs = np.where(eigs > DEFAULT_TOL.entropy_floor, eigs, 1.0)  # 1 log 1 = 0
+    h_frag, h_joint, (h_system,) = np.split(-np.sum(eigs * np.log2(eigs), axis=-1),
+                                            [len(fragments), 2 * len(fragments)])
+    return float(h_system), h_system + h_frag - h_joint
+
+
 def darwinism_curve(state: BranchingState,
                     samples_per_size: int = DEFAULT_FRAGMENT_SAMPLES,
                     seed: int = 0) -> MutualInformationCurve:
@@ -421,8 +454,6 @@ def darwinism_curve(state: BranchingState,
         )
     if samples_per_size < 1:
         raise ValueError("samples_per_size must be positive")
-    joint = state.joint
-    h_system = _marginal_entropy(joint, [0])
     points = [CurvePoint(0, 0.0, 1)]
     for size in range(1, n + 1):
         everything = list(combinations(range(1, n + 1), size))
@@ -433,12 +464,9 @@ def darwinism_curve(state: BranchingState,
             chosen = rng.choice(len(everything), size=samples_per_size,
                                 replace=False)
             fragments = [everything[i] for i in sorted(chosen)]
-        total = 0.0
-        for fragment in fragments:
-            h_frag = _marginal_entropy(joint, list(fragment))
-            h_joint = _marginal_entropy(joint, [0, *fragment])
-            total += h_system + h_frag - h_joint
-        points.append(CurvePoint(size, total / len(fragments), len(fragments)))
+        h_system, info = fragment_information(state, np.array(fragments))
+        points.append(CurvePoint(size, float(np.mean(info)), len(fragments),
+                                 fragments[0], float(info[0])))
     return MutualInformationCurve(tuple(points), h_system, n)
 
 
@@ -514,11 +542,10 @@ def bleach(psi: StateVector) -> BleachResult:
 
 
 def bleach_map(d: int) -> np.ndarray:
-    """The input-independent bleaching map as a dense, unitarity-checked matrix."""
+    """The input-independent bleaching map as a dense matrix, for ``gate_defect``."""
     if d ** 3 > DENSE_MAP_LIMIT:
         raise BudgetError(f"dense map dimension {d}^3 exceeds {DENSE_MAP_LIMIT}")
-    return _require_unitary(_bleach_apply(np.eye(d ** 3, dtype=complex), d),
-                            "bleach map")
+    return _bleach_apply(np.eye(d ** 3, dtype=complex), d)
 
 
 def recover(joint: StateVector) -> StateVector:

@@ -1,10 +1,12 @@
 """End-to-end tests for the scenario runner."""
 
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
+from unicollapse import cli
 from unicollapse.cli import (
     REPORT_SCHEMA,
     ConfigError,
@@ -87,6 +89,22 @@ def test_failing_tolerance_exits_one(capsys):
     assert failing and failing[0]["residual"] > failing[0]["tolerance"]
 
 
+def test_records_that_miss_the_joint_fail_gram_check(monkeypatch, capsys):
+    real = cli.premeasure
+
+    def skewed(system, n_env, record_angle=None):
+        state = real(system, n_env, record_angle=record_angle)
+        shifted = real(system, n_env, record_angle=record_angle + 0.01)
+        return dataclasses.replace(state, records=shifted.records)
+
+    monkeypatch.setattr(cli, "premeasure", skewed)
+    assert main(["darwinism", "--env-qubits", "6", "--record-angle", "0.7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert not checks["gram_matches_dense"]["passed"]
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 # ---------------------------------------------------------------------------
@@ -164,13 +182,15 @@ def test_unknown_scenario_rejected_by_parser():
     assert exit_info.value.code == 2
 
 
-def test_validate_rejects_out_of_range_fields():
+def test_validate_rejects_out_of_range_fields(tmp_path, capsys):
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="equiv-laws", triples=0).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="darwinism", delta=2.0).validate()
-    with pytest.raises(ConfigError):
-        ScenarioConfig(scenario="darwinism", state="w").validate()
+    config = tmp_path / "state.json"
+    config.write_text(json.dumps({"state": "w"}))
+    assert main(["darwinism", "--config", str(config)]) == 2
+    assert "unknown fields" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="grothendieck-int", seed=-1).validate()
 

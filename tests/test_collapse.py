@@ -2,10 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from unicollapse import collapse
 from unicollapse.collapse import (
     BranchingState,
     BudgetError,
@@ -21,6 +25,7 @@ from unicollapse.collapse import (
     controlled_rotation_gate,
     controlled_shift_gate,
     darwinism_curve,
+    fragment_information,
     gate_defect,
     global_entropy,
     premeasure,
@@ -87,7 +92,9 @@ def test_premeasure_qutrit_broadcast():
 
 def test_premeasure_imperfect_records():
     out = premeasure(plus_state(), 2, record_angle=np.pi / 4)
-    assert out.record_overlap == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
+    for register in out.records:
+        assert np.vdot(register[0], register[1]) == pytest.approx(
+            np.cos(np.pi / 4), abs=1e-12)
     # branch 1 writes cos|0> + sin|1> on each register
     view = out.joint.amplitudes.reshape(2, 2, 2)
     record = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
@@ -336,11 +343,80 @@ def test_darwinism_budget():
         too_big = BranchingState(
             joint=random_state(2 ** 14, 0, (2,) * 14),
             branch_labels=((0, 1.0),),
-            record_overlap=0.0,
-            system_dim=2,
+            records=np.broadcast_to(np.eye(2), (13, 2, 2)),
+            gate=controlled_shift_gate(2),
             n_env=13,
         )
         darwinism_curve(too_big, samples_per_size=1)
+
+
+def _dense_entropy(joint: StateVector, keep: list[int]) -> float:
+    """Entropy of a marginal of a pure joint state, traced on its smaller side."""
+    rest = [i for i in range(len(joint.factor_dims)) if i not in keep]
+    if not rest:  # the whole pure state
+        return 0.0
+    side = min(keep, rest, key=lambda s: math.prod(joint.factor_dims[i] for i in s))
+    return entropy(partial_trace(joint, keep=side))
+
+
+def _dense_information(joint: StateVector, fragment: list[int]) -> float:
+    return (_dense_entropy(joint, [0]) + _dense_entropy(joint, fragment)
+            - _dense_entropy(joint, [0, *fragment]))
+
+
+def _assert_gram_matches_dense(state) -> None:
+    n = state.n_env
+    for size in range(1, n + 1):
+        fragments = np.array(list(combinations(range(1, n + 1), size)))
+        gram = fragment_information(state, fragments)[1]
+        for fragment, value in zip(fragments, gram):
+            dense = _dense_information(state.joint, list(fragment))
+            assert abs(value - dense) <= 1e-12, (list(fragment), value, dense)
+
+
+PARTS = st.floats(-1.0, 1.0)
+
+
+@given(re=st.lists(PARTS, min_size=2, max_size=2),
+       im=st.lists(PARTS, min_size=2, max_size=2),
+       angle=st.floats(0.01, np.pi / 2), n=st.integers(1, 10))
+@settings(max_examples=30, deadline=None)
+def test_gram_information_matches_dense_oracle(re, im, angle, n):
+    amps = np.array(re) + 1j * np.array(im)
+    assume(np.linalg.norm(amps) > 0.1)
+    _assert_gram_matches_dense(premeasure(StateVector(amps), n,
+                                          record_angle=angle))
+
+
+@given(re=st.lists(PARTS, min_size=3, max_size=3),
+       im=st.lists(PARTS, min_size=3, max_size=3), n=st.integers(1, 6))
+@settings(max_examples=15, deadline=None)
+def test_gram_information_matches_dense_oracle_qutrit(re, im, n):
+    amps = np.array(re) + 1j * np.array(im)
+    assume(np.linalg.norm(amps) > 0.1)
+    _assert_gram_matches_dense(premeasure(StateVector(amps), n))
+
+
+def _binary_entropy(x: float) -> float:
+    return -sum(v * math.log2(v) for v in (x, 1.0 - x) if v > 0.0)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.7, 1.0, 1.2, 1.5, np.pi / 2])
+def test_gram_information_matches_ghz_closed_form(theta):
+    # I(f) = h((1+c^N)/2) + h((1+c^f)/2) - h((1+c^(N-f))/2), c = cos(theta)
+    n = 12
+    c = math.cos(theta)
+    state = premeasure(plus_state(), n, record_angle=theta)
+    curve = darwinism_curve(state)
+    for f in range(n + 1):
+        expected = (_binary_entropy((1 + c ** n) / 2)
+                    + _binary_entropy((1 + c ** f) / 2)
+                    - _binary_entropy((1 + c ** (n - f)) / 2))
+        assert abs(curve.mean_at(f) - expected) <= 1e-12
+        if f:
+            fragments = np.array(list(combinations(range(1, n + 1), f)))
+            info = fragment_information(state, fragments)[1]
+            assert np.max(np.abs(info - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +469,12 @@ def test_bleach_map_matches_structured_bleach():
                                        rtol=0, atol=1e-12)
     with pytest.raises(BudgetError):
         bleach_map(17)
+
+
+def test_bleach_map_defect_is_returned_not_raised(monkeypatch):
+    # gate_defect is the map's one unitarity check, so a scenario can report it
+    monkeypatch.setattr(collapse, "_bleach_apply", lambda amps, d: 0.5 * amps)
+    assert gate_defect(bleach_map(2)) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_bleach_budget():
