@@ -43,7 +43,6 @@ from .collapse import (
     born_from_envariance,
     darwinism_curve,
     gate_defect,
-    global_entropy,
     premeasure,
     recover,
     redundancy,
@@ -305,25 +304,15 @@ def _run_equiv_laws(cfg: ScenarioConfig):
 def _run_born(cfg: ScenarioConfig):
     weights = RationalWeights(tuple(cfg.weights))
     outcome = born_from_envariance(weights)
-    populated = np.abs(outcome.fine.amplitudes) > DEFAULT_TOL.rank_cutoff
-    flatness = float(np.max(np.abs(
-        np.abs(outcome.fine.amplitudes[populated]) - 1 / math.sqrt(weights.total)
-    )))
-    spectrum = np.sort(np.linalg.svd(
-        outcome.coarse.amplitudes.reshape(len(weights.m), weights.total),
-        compute_uv=False,
-    ) ** 2)[::-1]
-    expected = np.sort([float(p) for p in outcome.probabilities])[::-1]
-    spectrum_gap = float(np.max(np.abs(spectrum - expected)))
     checks = [
-        _check("fine_amplitudes_flat", flatness, DEFAULT_TOL.born_amplitude),
+        _check("fine_amplitudes_flat", outcome.flatness, DEFAULT_TOL.born_amplitude),
         _check("branch_transpositions_envariant",
                outcome.transposition_residual_max, cfg.tolerance),
-        _check("probabilities_equal_squared_spectrum", spectrum_gap,
+        _check("probabilities_equal_squared_spectrum", outcome.spectrum_gap,
                DEFAULT_TOL.born_amplitude),
         _check("fine_graining_unitary", gate_defect(outcome.fine_grain_unitary),
                DEFAULT_TOL.unitary),
-        _check("global_purity", abs(global_entropy(outcome.fine)), 1e-9),
+        _check("global_purity", outcome.norm_drift, DEFAULT_TOL.norm),
     ]
     results = {
         "probabilities": [f"{p.numerator}/{p.denominator}"
@@ -358,7 +347,7 @@ def _run_darwinism(cfg: ScenarioConfig):
     checks = [
         _check("broadcast_gate_unitary", gate_defect(branching.gate),
                DEFAULT_TOL.unitary),
-        _check("global_purity", abs(global_entropy(joint)), 1e-9),
+        _check("global_purity", branching.norm_drift, DEFAULT_TOL.norm),
         _check("gram_matches_dense", gram_gap, DEFAULT_TOL.witness),
         _check("complementarity_defect", complementarity, 1e-9),
         _check("curve_monotone_defect", monotone_defect, 1e-9),
@@ -401,10 +390,8 @@ def _run_nohide(cfg: ScenarioConfig):
         fidelity_worst = min(fidelity_worst,
                              fidelity(recover(result.joint), psi))
     unitary_defect = gate_defect(bleach_map(d)) if d ** 3 <= DENSE_MAP_LIMIT else 0.0
-    pairwise_worst = 0.0
-    for i in range(len(sigmas)):
-        for j in range(i + 1, len(sigmas)):
-            pairwise_worst = max(pairwise_worst, distance(sigmas[i], sigmas[j]))
+    # D(s_i, s_j) <= D(s_i, s_0) + D(s_0, s_j): an O(n) bound on every pair
+    pairwise_worst = 2 * max(distance(sigma, sigmas[0]) for sigma in sigmas[1:])
     checks = [
         _check("bleached_marginal_input_independent", pairwise_worst,
                DEFAULT_TOL.bleach),

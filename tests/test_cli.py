@@ -4,9 +4,10 @@ import dataclasses
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from unicollapse import cli
+from unicollapse import cli, collapse
 from unicollapse.cli import (
     REPORT_SCHEMA,
     ConfigError,
@@ -14,6 +15,7 @@ from unicollapse.cli import (
     main,
     run,
 )
+from unicollapse.linalg import StateVector
 
 
 def strip_timing(report_text: str) -> dict:
@@ -103,6 +105,62 @@ def test_records_that_miss_the_joint_fail_gram_check(monkeypatch, capsys):
     assert captured.err == ""
     checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
     assert not checks["gram_matches_dense"]["passed"]
+
+
+def _failed_checks(argv, capsys) -> set:
+    """Run ``argv``; it must exit 1 with no traceback.  Return the failed checks."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return {c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]}
+
+
+def _scaled_dense_shift(scale):
+    """controlled_shift_gate as a dense permutation matrix times ``scale``."""
+    real = collapse.controlled_shift_gate
+
+    def gate(dim):
+        image = real(dim)
+        dense = np.zeros((image.size, image.size))
+        dense[image, np.arange(image.size)] = scale
+        return dense
+
+    return gate
+
+
+def test_born_norm_drift_fails_global_purity(monkeypatch, capsys):
+    monkeypatch.setattr(collapse, "controlled_shift_gate", _scaled_dense_shift(1.001))
+    assert "global_purity" in _failed_checks(["born", "--weights", "2,3"], capsys)
+
+
+def test_born_non_bijective_gate_fails_unitarity(monkeypatch, capsys):
+    real = collapse.controlled_shift_gate
+
+    def broken(dim):
+        gate = real(dim).copy()
+        gate[1] = gate[0]
+        return gate
+
+    monkeypatch.setattr(collapse, "controlled_shift_gate", broken)
+    assert "fine_graining_unitary" in _failed_checks(["born", "--weights", "2,3"], capsys)
+
+
+def test_born_uneven_coarse_amplitude_fails_flatness_and_envariance(monkeypatch, capsys):
+    real = collapse.tensor
+
+    def skewed(coarse, *rest):
+        amps = coarse.amplitudes.copy()
+        amps[np.flatnonzero(amps)[0]] *= 1.1
+        return real(StateVector(amps, coarse.factor_dims), *rest)
+
+    monkeypatch.setattr(collapse, "tensor", skewed)
+    failed = _failed_checks(["born", "--weights", "2,3"], capsys)
+    assert {"fine_amplitudes_flat", "branch_transpositions_envariant"} <= failed
+
+
+def test_darwinism_norm_drift_fails_global_purity(monkeypatch, capsys):
+    monkeypatch.setattr(collapse, "controlled_shift_gate", _scaled_dense_shift(1.001))
+    assert "global_purity" in _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
 
 
 # ---------------------------------------------------------------------------

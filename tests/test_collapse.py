@@ -19,6 +19,7 @@ from unicollapse.collapse import (
     _apply_gate,
     _controlled_phase,
     _require_unitary,
+    _transposition_residuals,
     bleach,
     bleach_map,
     born_from_envariance,
@@ -33,8 +34,10 @@ from unicollapse.collapse import (
     redundancy,
     weights_from_probabilities,
 )
+from unicollapse.envariance import JointPairState, undo_on_n
 from unicollapse.linalg import (
     DimensionMismatchError,
+    Operator,
     StateVector,
     basis_state,
     distance,
@@ -231,6 +234,39 @@ def test_born_fine_graining_is_unitary_and_pure():
     assert abs(global_entropy(out.coarse)) <= 1e-9
 
 
+@pytest.mark.parametrize("weights", [(2, 3, 5), (3, 4), (1,) * 6, (1, 2, 1, 3)])
+def test_batched_transpositions_match_dense_witnesses(weights):
+    out = born_from_envariance(RationalWeights(weights))
+    m_total = sum(weights)
+    pair = JointPairState(out.fine.reordered([1, 0, 2]),
+                          (m_total, len(weights) * m_total))
+    batched = _transposition_residuals(pair)
+    assert len(batched) == out.transpositions_checked == math.comb(m_total, 2)
+    for residual, (i, j) in zip(batched, combinations(range(m_total), 2)):
+        swap = np.eye(m_total)
+        swap[[i, j]] = swap[[j, i]]
+        dense = undo_on_n(pair, Operator(swap)).residual
+        assert abs(residual - dense) <= 1e-14
+
+
+def test_born_residuals_are_returned_not_raised(monkeypatch):
+    real = collapse.tensor
+
+    def skewed(coarse, *rest):
+        amps = coarse.amplitudes.copy()
+        amps[0] *= 1.1
+        return real(StateVector(amps, coarse.factor_dims), *rest)
+
+    monkeypatch.setattr(collapse, "tensor", skewed)
+    out = born_from_envariance(RationalWeights((2, 3)))
+    assert out.flatness > 1e-3
+    assert out.transposition_residual_max > 1e-3
+    assert out.norm_drift <= 1e-12
+    # the batched kernel sees the uneven branch on its own, not only the dense witnesses
+    pair = JointPairState(out.fine.reordered([1, 0, 2]), (5, 10))
+    assert np.max(_transposition_residuals(pair)) > 1e-3
+
+
 def test_born_budget_and_validation():
     with pytest.raises(BudgetError):
         born_from_envariance(RationalWeights((1,) * 7 + (43,)))  # 8 * 50^2
@@ -346,6 +382,7 @@ def test_darwinism_budget():
             records=np.broadcast_to(np.eye(2), (13, 2, 2)),
             gate=controlled_shift_gate(2),
             n_env=13,
+            norm_drift=0.0,
         )
         darwinism_curve(too_big, samples_per_size=1)
 
