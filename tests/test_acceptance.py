@@ -51,6 +51,7 @@ from unicollapse.linalg import (
     random_state,
     schmidt,
 )
+from unicollapse.tolerances import DEFAULT_TOL
 
 
 def announce(number: int, passed: bool, detail: str) -> None:
@@ -215,6 +216,8 @@ def _compositions(total: int):
 def test_criterion_5_born_rule_from_envariance():
     worst_transposition = 0.0
     worst_spectrum_gap = 0.0
+    worst_flatness = 0.0
+    worst_drift = 0.0
     vectors = 0
     for m_total in range(1, 13):
         for weights in _compositions(m_total):
@@ -231,14 +234,21 @@ def test_criterion_5_born_rule_from_envariance():
             )
             worst_transposition = max(worst_transposition,
                                       outcome.transposition_residual_max)
+            worst_flatness = max(worst_flatness, outcome.flatness)
+            worst_drift = max(worst_drift, outcome.norm_drift)
             vectors += 1
-    passed = worst_spectrum_gap <= 1e-12 and worst_transposition <= 1e-9
+    passed = (worst_spectrum_gap <= 1e-12 and worst_transposition <= 1e-9
+              and worst_flatness <= DEFAULT_TOL.born_amplitude
+              and worst_drift <= DEFAULT_TOL.norm)
     announce(5, passed,
              f"{vectors} weight vectors, spectrum gap {worst_spectrum_gap:.2e}, "
-             f"transposition residual {worst_transposition:.2e}")
+             f"transposition residual {worst_transposition:.2e}, "
+             f"flatness {worst_flatness:.2e}, norm drift {worst_drift:.2e}")
     assert vectors == 4095
     assert worst_spectrum_gap <= 1e-12
     assert worst_transposition <= 1e-9
+    assert worst_flatness <= DEFAULT_TOL.born_amplitude
+    assert worst_drift <= DEFAULT_TOL.norm
 
 
 # ---------------------------------------------------------------------------

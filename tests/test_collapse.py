@@ -47,6 +47,7 @@ from unicollapse.linalg import (
     random_state,
     tensor,
 )
+from unicollapse.tolerances import DEFAULT_TOL
 
 
 def plus_state() -> StateVector:
@@ -194,11 +195,15 @@ def test_premeasure_preserves_global_purity():
 def test_born_equal_weights():
     out = born_from_envariance(RationalWeights((1, 1)))
     assert out.probabilities == (Fraction(1, 2), Fraction(1, 2))
+    assert out.flatness <= DEFAULT_TOL.born_amplitude
+    assert out.norm_drift <= DEFAULT_TOL.norm
 
 
 def test_born_one_two():
     out = born_from_envariance(RationalWeights((1, 2)))
     assert out.probabilities == (Fraction(1, 3), Fraction(2, 3))
+    assert out.flatness <= DEFAULT_TOL.born_amplitude
+    assert out.norm_drift <= DEFAULT_TOL.norm
 
 
 def test_born_two_three_five():
@@ -206,6 +211,8 @@ def test_born_two_three_five():
     assert out.probabilities == (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
     assert out.transpositions_checked == 45
     assert out.transposition_residual_max <= 1e-9
+    assert out.flatness <= DEFAULT_TOL.born_amplitude
+    assert out.norm_drift <= DEFAULT_TOL.norm
 
 
 def test_born_amplitudes_are_flat():
