@@ -125,7 +125,7 @@ class ScenarioConfig:
     inputs: int = 50             # nohide
 
     def validate(self) -> None:
-        for name, hint in get_type_hints(ScenarioConfig).items():
+        for name, hint in _CONFIG_HINTS.items():
             value = getattr(self, name)
             if not _has_type(value, hint):
                 raise ConfigError(f"{name}: expected "
@@ -166,6 +166,9 @@ class ScenarioConfig:
                 raise ConfigError("dim: need 2 <= dim with dim^3 within budget")
             if not 2 <= self.inputs <= 500:
                 raise ConfigError("inputs: must lie in [2, 500]")
+
+
+_CONFIG_HINTS = get_type_hints(ScenarioConfig)  # resolved once, not per call
 
 
 def _has_type(value, hint) -> bool:

@@ -15,8 +15,8 @@ their output, measured before ``StateVector`` renormalizes it.
   equal-size record register so that every fine branch carries amplitude
   1/sqrt(M), at which point every branch transposition is envariant and the
   outcome weights are exact branch counts.  All C(M, 2) transpositions are
-  checked in one batch on the fine amplitudes, the M - 1 adjacent ones also
-  as dense ``undo_on_n`` witnesses, and every claim comes back as a residual.
+  checked in one batch in M x M Schmidt coordinates, with no dense witness,
+  and every claim comes back as a residual.
 * ``darwinism_curve`` / ``redundancy`` quantify how many environment
   fragments independently carry the system's classical information.  Every
   I(S:F) comes from d_s x d_s branch Gram matrices (``fragment_information``),
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envariance import JointPairState, NotEnvariantError, undo_on_n
+from .envariance import JointPairState
 from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
@@ -47,7 +47,7 @@ from .linalg import (
     partial_trace,
     tensor,
 )
-from .tolerances import DEFAULT_TOL, DIM_BUDGET, Tolerances
+from .tolerances import DEFAULT_TOL, DIM_BUDGET
 
 
 class BudgetError(ValueError):
@@ -286,31 +286,31 @@ def _transposition_residuals(pair: JointPairState) -> np.ndarray:
 
     With Psi = L C R^T and A = L^dag P L, the undo u_n = I + R (conj(A) - I) R^dag
     that :func:`undo_on_n` builds for a flat spectrum takes Psi to
-    P Psi u_n^T = P Psi + (P Psi conj(R)) (A^dag - I) R^T.  P Psi gathers rows
-    of the actual amplitudes, so a spectrum that is not flat leaves a residual.
-    u_n is never formed; the pairs go in batches of at most 2^18 restored
-    amplitudes.  Each residual is the phase-aligned ``distance`` to Psi.
+    P Psi u_n^T = P L C A^dag R^T.  R has orthonormal columns, so the
+    phase-aligned ``distance`` to Psi is that of P L C A^dag to L C: an M x M
+    problem, with u_n and the other side's dimension never formed.  P gathers
+    rows of L, so a spectrum that is not flat leaves a residual.  On born's
+    fine states the residual of (i j) is sqrt(2) | |a_i| - |a_j| |, a pairwise
+    spread of the magnitudes.  The pairs go in batches of at most 2^18
+    restored entries.
     """
-    _, left, right = pair.schmidt_sides()
-    psi = pair.joint.amplitudes.reshape(pair.pos_dim, pair.right_dim)
+    coeffs, left, _ = pair.schmidt_sides()
+    scaled = left * coeffs  # L C
     first, second = np.triu_indices(pair.pos_dim, 1)
     perms = np.tile(np.arange(pair.pos_dim), (len(first), 1))
     perms[np.arange(len(first)), first] = second
     perms[np.arange(len(first)), second] = first
-    psi_right = psi @ right.conj()
-    batches = -(-perms.size * pair.right_dim // 2 ** 18) or 1  # ceil, at least 1
+    batches = -(-perms.size * left.shape[1] // 2 ** 18) or 1  # ceil, at least 1
     out = []
     for chunk in np.array_split(perms, batches):
         action = left.conj().T @ left[chunk]  # A, one per pair
-        undo = np.conj(np.swapaxes(action, 1, 2)) - np.eye(pair.pos_dim)
-        restored = psi[chunk] + psi_right[chunk] @ undo @ right.T
-        phase = np.exp(-1j * np.angle(np.einsum("pij,ij->p", restored.conj(), psi)))
-        out.append(np.linalg.norm(restored - phase[:, None, None] * psi, axis=(1, 2)))
+        restored = scaled[chunk] @ np.conj(np.swapaxes(action, 1, 2))
+        phase = np.exp(-1j * np.angle(np.einsum("pij,ij->p", restored.conj(), scaled)))
+        out.append(np.linalg.norm(restored - phase[:, None, None] * scaled, axis=(1, 2)))
     return np.concatenate(out)
 
 
-def born_from_envariance(weights: RationalWeights,
-                         tol: Tolerances = DEFAULT_TOL) -> BornOutcome:
+def born_from_envariance(weights: RationalWeights) -> BornOutcome:
     """Extract outcome probabilities for rational weights by fine-graining.
 
     Builds |Psi> = sum_k sqrt(m_k/M) |s_k>|e_k>, where |e_k> is the equal
@@ -319,11 +319,10 @@ def born_from_envariance(weights: RationalWeights,
     |e_k>|0> maps to the equal superposition over the m_k doubled states of
     block k.  All M fine-grained amplitudes come out at 1/sqrt(M), and every
     transposition of fine branches is envariant: it is undone on the
-    complementary side.  All C(M, 2) transpositions are checked on the fine
-    amplitudes in one batch (:func:`_transposition_residuals`); the M - 1
-    adjacent ones, which generate S_M, are also built as dense witnesses by
-    :func:`undo_on_n`, and a :class:`NotEnvariantError` counts as its leakage.
-    The returned probabilities are the exact branch counts.  Every claim comes
+    complementary side.  All C(M, 2) transpositions are checked in one batch
+    in the M x M Schmidt coordinates of the fine state
+    (:func:`_transposition_residuals`); no dense witness is built.  The
+    returned probabilities are the exact branch counts.  Every claim comes
     back as a residual on the outcome; only the budget and the weights raise.
     """
     k_outcomes = len(weights.m)
@@ -353,15 +352,7 @@ def born_from_envariance(weights: RationalWeights,
 
     env_first = fine_state.reordered([1, 0, 2])
     pair = JointPairState(env_first, (m_total, k_outcomes * m_total))
-    batched = _transposition_residuals(pair)
-    worst = float(np.max(batched, initial=0.0))
-    identity = np.eye(m_total, dtype=complex)
-    for i in range(m_total - 1):
-        swap = Operator(identity[[*range(i), i + 1, i, *range(i + 2, m_total)]])
-        try:
-            worst = max(worst, undo_on_n(pair, swap, tol).residual)
-        except NotEnvariantError as err:
-            worst = max(worst, err.leakage)
+    residuals = _transposition_residuals(pair)
 
     probabilities = tuple(Fraction(mk, m_total) for mk in weights.m)
     squared = np.sort(np.linalg.svd(coarse_state.amplitudes.reshape(coarse.shape),
@@ -374,8 +365,8 @@ def born_from_envariance(weights: RationalWeights,
         coarse=coarse_state,
         fine=fine_state,
         fine_grain_unitary=fine_grain,
-        transpositions_checked=len(batched),
-        transposition_residual_max=worst,
+        transpositions_checked=len(residuals),
+        transposition_residual_max=float(np.max(residuals, initial=0.0)),
         flatness=float(flatness),
         spectrum_gap=float(np.max(np.abs(squared - expected))),
         norm_drift=drift,
@@ -433,7 +424,9 @@ def _marginal_entropy(joint: StateVector, keep: list[int]) -> float:
     """Entropy of a marginal of a pure joint state.
 
     Both sides of a pure-state cut share a spectrum, so the reduced density
-    matrix is always built on the smaller side of the bipartition.
+    matrix is always built on the smaller side of the bipartition.  Keeping
+    every factor gives 0 without a density matrix: the state is pure, and
+    the scenarios check that through its norm drift.
     """
     dims = joint.factor_dims
     d_keep = math.prod(dims[i] for i in keep)
@@ -441,7 +434,7 @@ def _marginal_entropy(joint: StateVector, keep: list[int]) -> float:
         return entropy(partial_trace(joint, keep=keep))
     complement = [i for i in range(len(dims)) if i not in keep]
     if not complement:
-        return global_entropy(joint)
+        return 0.0
     return entropy(partial_trace(joint, keep=complement))
 
 

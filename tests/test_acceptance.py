@@ -21,6 +21,7 @@ from unicollapse import envariance as env
 from unicollapse.cli import main as cli_main
 from unicollapse.collapse import (
     RationalWeights,
+    _transposition_residuals,
     bleach,
     bleach_map,
     born_from_envariance,
@@ -225,6 +226,7 @@ def test_criterion_5_born_rule_from_envariance():
             assert outcome.probabilities == tuple(
                 Fraction(mk, m_total) for mk in weights
             )
+            assert outcome.transpositions_checked == math.comb(m_total, 2)
             spectrum = np.sort(np.linalg.svd(
                 outcome.coarse.amplitudes.reshape(len(weights), m_total),
                 compute_uv=False) ** 2)[::-1]
@@ -249,6 +251,54 @@ def test_criterion_5_born_rule_from_envariance():
     assert worst_transposition <= 1e-9
     assert worst_flatness <= DEFAULT_TOL.born_amplitude
     assert worst_drift <= DEFAULT_TOL.norm
+
+
+def _rotated_residuals(fine: StateVector, rng) -> np.ndarray:
+    """Transposition residuals of a fine Born state under Haar U_S (x) U_E (x) U_R.
+
+    Local unitaries keep the environment's spectrum flat, so every residual
+    stays at rounding level; in this frame it is no longer 0 by construction.
+    """
+    k, m, _ = fine.factor_dims
+    u_s, u_e, u_r = (haar_unitary(d, rng).entries for d in (k, m, m))
+    amps = np.einsum("sa,eb,rc,abc->esr", u_s, u_e, u_r,
+                     fine.amplitudes.reshape(k, m, m), optimize=True)
+    pair = env.JointPairState(StateVector(amps.reshape(-1), (m, k, m)), (m, k * m))
+    return _transposition_residuals(pair)
+
+
+def test_criterion_5_rotated_frame():
+    """Every composition of 2 <= M <= 9, and one per part count for M = 10..12."""
+    rng = np.random.default_rng(13)
+    worst, least = 0.0, math.inf
+    vectors = 0
+    for m_total in range(2, 13):
+        parts_seen = set()
+        for weights in _compositions(m_total):
+            if m_total >= 10 and len(weights) in parts_seen:
+                continue
+            parts_seen.add(len(weights))
+            outcome = born_from_envariance(RationalWeights(weights))
+            residuals = _rotated_residuals(outcome.fine, rng)
+            assert len(residuals) == math.comb(m_total, 2)
+            worst = max(worst, float(residuals.max()))
+            least = min(least, float(residuals.max()))
+            vectors += 1
+    announce(5, worst <= 1e-9 and least > 0.0,
+             f"{vectors} rotated frames, transposition residual "
+             f"{least:.2e} to {worst:.2e}")
+    assert vectors == 510 + 10 + 11 + 12
+    assert worst <= 1e-9
+    assert least > 0.0  # computed, not 0 by construction
+
+
+@pytest.mark.parametrize("weights", [(2, 3, 5), (3, 4), (1,) * 6, (1, 2, 1, 3)])
+def test_criterion_5_rotated_frame_sees_uneven_branch(weights):
+    fine = born_from_envariance(RationalWeights(weights)).fine
+    amps = fine.amplitudes.copy()
+    amps[0] *= 1.1  # the one fine branch of the first coarse amplitude
+    skewed = StateVector(amps, fine.factor_dims)
+    assert _rotated_residuals(skewed, np.random.default_rng(13)).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the unitary measurement models."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -269,9 +270,20 @@ def test_born_residuals_are_returned_not_raised(monkeypatch):
     assert out.flatness > 1e-3
     assert out.transposition_residual_max > 1e-3
     assert out.norm_drift <= 1e-12
-    # the batched kernel sees the uneven branch on its own, not only the dense witnesses
     pair = JointPairState(out.fine.reordered([1, 0, 2]), (5, 10))
     assert np.max(_transposition_residuals(pair)) > 1e-3
+
+
+def test_born_transpositions_are_chunked():
+    tracemalloc.start()
+    try:
+        out = born_from_envariance(RationalWeights((64,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.transpositions_checked == 2016
+    assert out.transposition_residual_max <= 1e-9
+    assert peak < 64 * 2 ** 20  # one unchunked 2016 x 64 x 64 stack is 126 MiB
 
 
 def test_born_budget_and_validation():
