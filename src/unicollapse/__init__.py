@@ -5,7 +5,6 @@ from .linalg import (
     DensityMatrix,
     DimensionMismatchError,
     Operator,
-    SchmidtDecomposition,
     StateVector,
     basis_state,
     distance,

@@ -228,32 +228,6 @@ class RationalWeights:
         return out
 
 
-def weights_from_probabilities(probabilities: Sequence[float],
-                               max_denominator: int = 64
-                               ) -> tuple[RationalWeights, float]:
-    """Approximate a probability vector by rational weights.
-
-    Returns the weights plus the worst-case approximation error
-    max_k |p_k - m_k / M|; irrational inputs are never silently truncated --
-    the caller sees exactly how much was given up.
-    """
-    approx = [Fraction(float(p)).limit_denominator(max_denominator)
-              for p in probabilities]
-    denominator = math.lcm(*(f.denominator for f in approx))
-    scaled = [int(f * denominator) for f in approx]
-    # force exact normalization onto the largest entry
-    drift = denominator - sum(scaled)
-    scaled[int(np.argmax(scaled))] += drift
-    if any(v < 1 for v in scaled):
-        raise ValueError(
-            f"max_denominator={max_denominator} too coarse for {probabilities}"
-        )
-    weights = RationalWeights(tuple(scaled))
-    error = max(abs(float(p) - mk / weights.total)
-                for p, mk in zip(probabilities, weights.m))
-    return weights, error
-
-
 @dataclass(frozen=True)
 class BornOutcome:
     """Result of the fine-graining construction, with the residual of each claim.

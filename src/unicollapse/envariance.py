@@ -42,7 +42,7 @@ from .linalg import (
     distance,
     haar_unitary,
     identity,
-    schmidt_full,
+    schmidt,
     tensor,
     transport_unitary,
 )
@@ -107,20 +107,11 @@ class JointPairState:
         sorted descending and includes zeros.
         """
         if self._schmidt_cache is None:
-            matrix = self.joint.amplitudes.reshape(self.pos_dim, self.right_dim)
-            left, coeffs, right_h = np.linalg.svd(matrix, full_matrices=False)
-            for array in (coeffs, left, right_h):
+            sides = schmidt(self.joint, (self.pos_dim, self.right_dim))
+            for array in sides:
                 array.setflags(write=False)
-            object.__setattr__(self, "_schmidt_cache",
-                               (coeffs, left, right_h.T))
+            object.__setattr__(self, "_schmidt_cache", sides)
         return self._schmidt_cache
-
-    @classmethod
-    def from_parts(cls, pos: StateVector, neg: StateVector,
-                   ancilla: Optional[StateVector] = None) -> "JointPairState":
-        parts = [pos, neg] + ([ancilla] if ancilla is not None else [])
-        return cls(tensor(*parts),
-                   (pos.dim, neg.dim, ancilla.dim if ancilla is not None else 1))
 
     @property
     def pos_dim(self) -> int:
@@ -219,8 +210,9 @@ class EquivalenceVerdict:
     """Outcome of a pair-equivalence check.
 
     ``related`` is true only when the sorted spectra agree entrywise and every
-    sampled witness met its residual bound.  In literal quantifier mode,
-    ``literal_rejections`` counts sampled unitaries that admitted no undoing.
+    witness met its residual bound.  ``witnesses`` is empty when the spectra
+    differ; otherwise it holds the basis-transport witness followed by one
+    witness per trial.
     """
 
     related: bool
@@ -228,7 +220,6 @@ class EquivalenceVerdict:
     spectrum_right: np.ndarray
     witnesses: tuple[WitnessSet, ...]
     trials: int
-    literal_rejections: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +253,6 @@ def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, Joi
         )
     target = max(x.ancilla_dim, y.ancilla_dim)
     return x.padded(target), y.padded(target)
-
-
-def _full_schmidt_sides(psi: JointPairState):
-    """Square left/right bases (completion included); not cached."""
-    return schmidt_full(
-        psi.joint.with_factors((psi.pos_dim, psi.right_dim)),
-        (psi.pos_dim, psi.right_dim),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +361,7 @@ def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
-                    seed: int = 0, mode: str = "envariant",
+                    seed: int = 0,
                     tol: Tolerances = DEFAULT_TOL) -> EquivalenceVerdict:
     """Decide whether two pair states are related by side-local unitaries.
 
@@ -386,16 +369,14 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     cut (ancillas padded to a common register and folded into the negative
     side).  On success the verdict carries constructive witnesses: first the
     basis-transport pair mapping ``y`` onto ``x`` exactly, then ``trials``
-    sampled envariant rotations composed with it, each validated against its
-    defining equation.
-
-    ``mode="envariant"`` samples the rotations from the envariant subgroup;
-    ``mode="literal"`` samples unrestricted Haar unitaries and counts how many
-    admit no undoing instead of failing (their count lands in
-    ``literal_rejections``).
+    rotations sampled from ``x``'s envariant subgroup
+    (:func:`sample_envariant_unitary`, seeded by ``(seed, trial)``) and
+    composed with it, each validated against its defining equation.  The
+    transport maps come from the square Schmidt bases (``schmidt(...,
+    full=True)``), so they are unitaries on the whole of each side.  An
+    envariant rotation always admits an undo; should :func:`undo_on_n` still
+    reject one, its :class:`NotEnvariantError` propagates.
     """
-    if mode not in ("envariant", "literal"):
-        raise ValueError(f"unknown mode {mode!r}")
     xp, yp = _pad_pair(x, y)
     sx = xp.spectrum()
     sy = yp.spectrum()
@@ -403,33 +384,25 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     if not spectra_equal:
         return EquivalenceVerdict(False, sx, sy, (), trials)
 
-    _, left_x, right_x = _full_schmidt_sides(xp)
-    _, left_y, right_y = _full_schmidt_sides(yp)
+    cut = (xp.pos_dim, xp.right_dim)
+    _, left_x, right_x = schmidt(xp.joint, cut, full=True)
+    _, left_y, right_y = schmidt(yp.joint, cut, full=True)
     map_p = Operator(left_x @ left_y.conj().T)
     map_r = Operator(right_x @ right_y.conj().T)
     mapped = _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, map_p, map_r)
     witnesses = [WitnessSet(u_p=map_p, u_n=map_r,
                             residual=distance(mapped, xp.joint))]
-    rejections = 0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        if mode == "envariant":
-            rotation = sample_envariant_unitary(xp, rng, tol)
-        else:
-            rotation = haar_unitary(xp.pos_dim, rng)
-        try:
-            undo = undo_on_n(xp, rotation, tol)
-        except NotEnvariantError:
-            rejections += 1
-            continue
+        rotation = sample_envariant_unitary(xp, rng, tol)
+        undo = undo_on_n(xp, rotation, tol)
         w_p = rotation @ map_p
         w_n = undo.u_n @ map_r
         moved = _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, w_p, w_n)
         witnesses.append(WitnessSet(u_p=w_p, u_n=w_n,
                                     residual=distance(moved, xp.joint)))
-    related = spectra_equal and all(w.accepted(tol) for w in witnesses)
-    return EquivalenceVerdict(related, sx, sy, tuple(witnesses), trials,
-                              literal_rejections=rejections)
+    related = all(w.accepted(tol) for w in witnesses)
+    return EquivalenceVerdict(related, sx, sy, tuple(witnesses), trials)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ explicit seed (or an already-constructed ``numpy.random.Generator``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -71,14 +70,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimensions differ: {self.dim} vs {other.dim}"
-            )
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -103,18 +94,13 @@ class Operator:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, check_unitary: bool = False,
-                 tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got {m.shape}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if check_unitary and not self.is_unitary(tol):
-            raise ValueError(
-                f"matrix is not unitary (defect {self.unitarity_defect():.3e})"
-            )
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -192,30 +178,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Bipartite expansion sum_i c_i |a_i> (x) |b_i> with descending c_i.
-
-    ``left_basis`` and ``right_basis`` hold the a_i / b_i as columns; both
-    carry exact phases, so ``reconstruct`` reproduces the source state without
-    any leftover phase freedom.  For degenerate coefficient groups the basis
-    choice is not unique and callers must rely only on the spectrum.
-    """
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-    cut: tuple[int, int]
-
-    def rank(self, cutoff: float = DEFAULT_TOL.rank_cutoff) -> int:
-        return int(np.sum(self.coefficients > cutoff))
-
-    def reconstruct(self) -> StateVector:
-        dl, dr = self.cut
-        matrix = (self.left_basis * self.coefficients) @ self.right_basis.T
-        return StateVector(matrix.reshape(-1), (dl, dr))
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -243,12 +205,18 @@ def tensor(*factors):
     raise TypeError("tensor() arguments must be all StateVector or all Operator")
 
 
-def schmidt(psi: StateVector, cut: tuple[int, int]) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` across the bipartition ``cut``.
+def schmidt(psi: StateVector, cut: tuple[int, int], full: bool = False):
+    """Schmidt decomposition sum_i c_i |a_i> (x) |b_i> of ``psi`` across ``cut``.
 
-    The decomposition is computed as the singular value decomposition of the
-    amplitude vector reshaped to a (dl, dr) matrix; min(dl, dr) coefficients
-    are returned, including zeros.
+    Returns ``(coefficients, left, right)`` from the singular value
+    decomposition of the amplitudes reshaped to a (dl, dr) matrix: the
+    min(dl, dr) coefficients in descending order, zeros included, and the a_i
+    and b_i as the columns of ``left`` and ``right``, with exact phases, so
+    ``(left * coefficients) @ right.T`` is the amplitude matrix.  By default
+    both bases have min(dl, dr) columns; ``full=True`` completes them to
+    square dl x dl and dr x dr unitaries, whose extra columns span the
+    complement of the support.  For degenerate coefficients the basis choice
+    is not unique; rely only on the spectrum there.
     """
     dl, dr = int(cut[0]), int(cut[1])
     if dl * dr != psi.dim:
@@ -256,78 +224,31 @@ def schmidt(psi: StateVector, cut: tuple[int, int]) -> SchmidtDecomposition:
             f"cut {cut} does not multiply to state dimension {psi.dim}"
         )
     matrix = psi.amplitudes.reshape(dl, dr)
-    left, coeffs, right_h = np.linalg.svd(matrix, full_matrices=False)
-    return SchmidtDecomposition(
-        coefficients=coeffs, left_basis=left, right_basis=right_h.T, cut=(dl, dr)
-    )
-
-
-def schmidt_full(psi: StateVector, cut: tuple[int, int]):
-    """Like :func:`schmidt` but with square left/right bases.
-
-    Returns (coefficients, left dl x dl, right dr x dr); the coefficient array
-    still has min(dl, dr) entries.  The extra columns complete each basis and
-    are what envariant-unitary constructions extend over.
-    """
-    dl, dr = int(cut[0]), int(cut[1])
-    if dl * dr != psi.dim:
-        raise DimensionMismatchError(
-            f"cut {cut} does not multiply to state dimension {psi.dim}"
-        )
-    matrix = psi.amplitudes.reshape(dl, dr)
-    left, coeffs, right_h = np.linalg.svd(matrix, full_matrices=True)
+    left, coeffs, right_h = np.linalg.svd(matrix, full_matrices=full)
     return coeffs, left, right_h.T
 
 
-def partial_trace(obj, keep: Iterable[int],
-                  factor_dims: Sequence[int] | None = None) -> DensityMatrix:
-    """Reduced density matrix on the kept factors (original factor order).
+def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the kept factors.
 
-    ``obj`` may be a StateVector (factor_dims taken from the state unless
-    overridden) or a DensityMatrix (factor_dims required).
+    The factors are those of ``state.factor_dims``; the kept ones stay in
+    their original order.
     """
     keep_list = sorted(set(int(k) for k in keep))
-    if isinstance(obj, StateVector):
-        dims = tuple(factor_dims) if factor_dims is not None else obj.factor_dims
-        if math.prod(dims) != obj.dim:
-            raise DimensionMismatchError(
-                f"factor_dims {dims} do not multiply to {obj.dim}"
-            )
-        n = len(dims)
-        _check_keep(keep_list, n)
-        drop = [i for i in range(n) if i not in keep_list]
-        tensor_view = obj.amplitudes.reshape(dims)
-        moved = np.transpose(tensor_view, keep_list + drop)
-        d_keep = math.prod(dims[i] for i in keep_list)
-        matrix = moved.reshape(d_keep, -1)
-        return DensityMatrix(matrix @ matrix.conj().T)
-    if isinstance(obj, DensityMatrix):
-        if factor_dims is None:
-            raise DimensionMismatchError("factor_dims required for a DensityMatrix")
-        dims = tuple(int(d) for d in factor_dims)
-        if math.prod(dims) != obj.dim:
-            raise DimensionMismatchError(
-                f"factor_dims {dims} do not multiply to {obj.dim}"
-            )
-        n = len(dims)
-        _check_keep(keep_list, n)
-        reduced = obj.entries.reshape(dims + dims)
-        n_left = n
-        for axis in sorted((i for i in range(n) if i not in keep_list), reverse=True):
-            reduced = np.trace(reduced, axis1=axis, axis2=axis + n_left)
-            n_left -= 1
-        d_keep = math.prod(dims[i] for i in keep_list)
-        return DensityMatrix(reduced.reshape(d_keep, d_keep))
-    raise TypeError(f"cannot take a partial trace of {type(obj).__name__}")
-
-
-def _check_keep(keep_list: list[int], n_factors: int) -> None:
+    dims = state.factor_dims
+    n = len(dims)
     if not keep_list:
         raise DimensionMismatchError("keep set must be nonempty")
-    if keep_list[0] < 0 or keep_list[-1] >= n_factors:
+    if keep_list[0] < 0 or keep_list[-1] >= n:
         raise DimensionMismatchError(
-            f"keep indices {keep_list} out of range for {n_factors} factors"
+            f"keep indices {keep_list} out of range for {n} factors"
         )
+    drop = [i for i in range(n) if i not in keep_list]
+    tensor_view = state.amplitudes.reshape(dims)
+    moved = np.transpose(tensor_view, keep_list + drop)
+    d_keep = math.prod(dims[i] for i in keep_list)
+    matrix = moved.reshape(d_keep, -1)
+    return DensityMatrix(matrix @ matrix.conj().T)
 
 
 def entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -430,19 +351,6 @@ def transport_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     qs = unitary_with_first_column(source)
     qt = unitary_with_first_column(target)
     return qt @ qs.conj().T
-
-
-def complete_columns(columns: np.ndarray) -> np.ndarray:
-    """Extend a d x k isometry (orthonormal columns) to a d x d unitary."""
-    columns = np.asarray(columns, dtype=complex)
-    d, k = columns.shape
-    if k == d:
-        return columns.copy()
-    stacked = np.column_stack([columns, np.eye(d, dtype=complex)])
-    q, _ = np.linalg.qr(stacked)
-    # keep the input columns verbatim; QR only supplies the orthogonal complement
-    q[:, :k] = columns
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from unicollapse.collapse import (
 )
 from unicollapse.grothendieck import (
     NATURALS_ADD,
+    GroupElement,
+    MonoidPair,
     element,
     group_add,
     group_neg,
@@ -69,14 +71,18 @@ def test_criterion_1_grothendieck_oracle():
     values = np.arange(top + 1)
     b, c, d = np.meshgrid(values, values, values, indexing="ij")
     mismatches = 0
+    y = GroupElement(MonoidPair(c, d), NATURALS_ADD)
     for a in range(top + 1):
         relation = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
         oracle = (a - b) == (c - d)
         mismatches += int(np.count_nonzero(relation != oracle))
-        add_image = (a + c) - (b + d)          # group_add, componentwise
-        mismatches += int(np.count_nonzero(add_image != (a - b) + (c - d)))
-        neg_image = b - a                      # group_neg, swapped pair
-        mismatches += int(np.count_nonzero(neg_image != -(a - b)))
+        total = group_add(GroupElement(MonoidPair(a, b), NATURALS_ADD), y)
+        mismatches += int(np.count_nonzero(
+            (total.pair.pos - total.pair.neg) != (a - b) + (c - d)))
+    a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
+    neg = group_neg(GroupElement(MonoidPair(a_grid, b_grid), NATURALS_ADD))
+    mismatches += int(np.count_nonzero(
+        (neg.pair.pos - neg.pair.neg) != -(a_grid - b_grid)))
 
     # object layer, exhaustive on a subcube, against the same oracle
     object_top = 12
@@ -181,14 +187,15 @@ def test_criterion_4_spectrum_soundness():
         d_n = int(rng.choice([2, 3, 4]))
         x = env.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)),
                                (d_p, d_n))
-        decomposition = schmidt(x.joint.with_factors((d_p, d_n)), (d_p, d_n))
-        index = int(rng.integers(len(decomposition.coefficients)))
+        coefficients, left, right = schmidt(x.joint.with_factors((d_p, d_n)),
+                                            (d_p, d_n))
+        index = int(rng.integers(len(coefficients)))
         bump = 10 ** rng.uniform(-3, -1)
         while True:  # escalate until the realized entrywise gap is >= 1e-3
-            coeffs = decomposition.coefficients.copy()
+            coeffs = coefficients.copy()
             coeffs[index] += bump
             coeffs /= np.linalg.norm(coeffs)
-            matrix = (decomposition.left_basis * coeffs) @ decomposition.right_basis.T
+            matrix = (left * coeffs) @ right.T
             y = env.JointPairState(StateVector(matrix.reshape(-1), (d_p, d_n)),
                                    (d_p, d_n))
             gap = float(np.max(np.abs(np.sort(y.spectrum())

@@ -15,6 +15,7 @@ from unicollapse.cli import (
     main,
     run,
 )
+from unicollapse.grothendieck import GroupElement, MonoidPair
 from unicollapse.linalg import StateVector
 
 
@@ -161,6 +162,22 @@ def test_born_uneven_coarse_amplitude_fails_flatness_and_envariance(monkeypatch,
 def test_darwinism_norm_drift_fails_global_purity(monkeypatch, capsys):
     monkeypatch.setattr(collapse, "controlled_shift_gate", _scaled_dense_shift(1.001))
     assert "global_purity" in _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
+
+
+def test_crossed_group_add_fails_homomorphism(monkeypatch, capsys):
+    def crossed(x, y):
+        return GroupElement(MonoidPair(x.pair.pos + y.pair.neg,
+                                       x.pair.neg + y.pair.pos), x.monoid)
+
+    monkeypatch.setattr(cli, "group_add", crossed)
+    failed = _failed_checks(["grothendieck-int", "--range", "6"], capsys)
+    assert "add_neg_homomorphism" in failed
+
+
+def test_identity_group_neg_fails_homomorphism(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "group_neg", lambda x: x)
+    failed = _failed_checks(["grothendieck-int", "--range", "6"], capsys)
+    assert "add_neg_homomorphism" in failed
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from unicollapse.collapse import (
     premeasure,
     recover,
     redundancy,
-    weights_from_probabilities,
 )
 from unicollapse.envariance import JointPairState, undo_on_n
 from unicollapse.linalg import (
@@ -293,27 +292,6 @@ def test_born_budget_and_validation():
         RationalWeights((1, 0))
     with pytest.raises(ValueError):
         RationalWeights(())
-
-
-def test_weights_from_probabilities_exact():
-    weights, error = weights_from_probabilities([1 / 3, 2 / 3])
-    assert weights.m == (1, 2)
-    assert error == 0.0
-
-
-def test_weights_from_probabilities_reports_error():
-    probs = [1 / math.pi, 1 - 1 / math.pi]
-    weights, error = weights_from_probabilities(probs, max_denominator=16)
-    assert sum(weights.m) == weights.total
-    assert 0 < error < 1 / 16
-    np.testing.assert_allclose(
-        [mk / weights.total for mk in weights.m], probs, atol=error + 1e-15
-    )
-
-
-def test_weights_from_probabilities_too_coarse():
-    with pytest.raises(ValueError):
-        weights_from_probabilities([0.001, 0.999], max_denominator=3)
 
 
 # ---------------------------------------------------------------------------
