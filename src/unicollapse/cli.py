@@ -113,7 +113,7 @@ class ScenarioConfig:
     scenario: str
     seed: int = 0
     out: Optional[str] = None
-    tolerance: float = DEFAULT_TOL.witness
+    tolerance: float = DEFAULT_TOL.witness  # born, envariance-restore, equiv-laws
     range_max: int = 50          # grothendieck-int
     trials: int = 100            # envariance-restore
     triples: int = 200           # equiv-laws
@@ -206,12 +206,14 @@ def _integer(x: GroupElement):
 
 def _run_grothendieck_int(cfg: ScenarioConfig):
     top = cfg.range_max
-    values = np.arange(top + 1)
-    b, c, d = np.meshgrid(values, values, values, indexing="ij")
+    # validate caps the range at 200: every sum below lies within +-400 and fits
+    # int16.  Sparse axes broadcast each a-slice to its full (R, R, R) verdict.
+    values = np.arange(top + 1, dtype=np.int16)
+    b, c, d = np.ix_(values, values, values)
     relation_mismatches = 0
     arithmetic_mismatches = 0
     cd = GroupElement(MonoidPair(c, d), NATURALS_ADD)
-    for a in range(top + 1):
+    for a in values:
         got = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
         oracle = (a - b) == (c - d)
         relation_mismatches += int(np.count_nonzero(got != oracle))
@@ -220,12 +222,12 @@ def _run_grothendieck_int(cfg: ScenarioConfig):
                                      cd)) == (a - b) + (c - d)
         arithmetic_mismatches += int(np.count_nonzero(~matches))
     # group_neg depends on (a, b) only: one check over that grid
-    a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
+    a_grid, b_grid = np.ix_(values, values)
     neg = _integer(group_neg(GroupElement(MonoidPair(a_grid, b_grid), NATURALS_ADD)))
     arithmetic_mismatches += int(np.count_nonzero(neg != -(a_grid - b_grid)))
 
     object_mismatches = 0
-    object_top = min(top, 10)
+    object_top = min(top, 12)
     for a in range(object_top + 1):
         for b_ in range(object_top + 1):
             x = element(NATURALS_ADD, a, b_)
@@ -366,8 +368,9 @@ def _run_darwinism(cfg: ScenarioConfig):
         _check("curve_monotone_defect", monotone_defect, 1e-9),
     ]
     if cfg.record_angle is None:
-        plateau_defect = max(abs(curve.mean_at(f) - h) for f in range(1, n))
-        checks.append(_check("plateau_defect", plateau_defect, 1e-9))
+        # vacuous at n = 1, where no fragment lies strictly inside
+        inner = [abs(curve.mean_at(f) - h) for f in range(1, n)]
+        checks.append(_check("plateau_defect", max(inner, default=0.0), 1e-9))
         checks.append(_check("full_environment_information",
                              abs(curve.mean_at(n) - 2 * h), 1e-9))
         checks.append(_check("redundancy_equals_environment_count",
@@ -391,7 +394,7 @@ def _run_nohide(cfg: ScenarioConfig):
     sigmas = []
     mixed_worst = 0.0
     fidelity_worst = 1.0
-    ancilla_dims_ok = True
+    dims_ok = True
     maximally_mixed = np.eye(d) / d
     for _ in range(cfg.inputs):
         psi = random_state(d, rng)
@@ -399,7 +402,7 @@ def _run_nohide(cfg: ScenarioConfig):
         sigmas.append(result.sigma_system)
         mixed_worst = max(mixed_worst, float(np.max(np.abs(
             result.sigma_system.entries - maximally_mixed))))
-        ancilla_dims_ok &= (math.prod(result.joint.factor_dims[1:]) == d * d)
+        dims_ok &= result.joint.factor_dims == (d, d, d)
         fidelity_worst = min(fidelity_worst,
                              fidelity(recover(result.joint), psi))
     unitary_defect = gate_defect(bleach_map(d)) if d ** 3 <= DENSE_MAP_LIMIT else 0.0
@@ -411,7 +414,7 @@ def _run_nohide(cfg: ScenarioConfig):
         _check("bleached_marginal_maximally_mixed", mixed_worst,
                DEFAULT_TOL.bleach),
         _check("recovery_infidelity", 1.0 - fidelity_worst, 1e-10),
-        _check("ancilla_dimension_exact", 0.0 if ancilla_dims_ok else 1.0, 0),
+        _check("ancilla_dimension_exact", 0.0 if dims_ok else 1.0, 0),
         _check("bleach_map_unitary", unitary_defect, DEFAULT_TOL.unitary),
     ]
     results = {"dim": d, "inputs": cfg.inputs}
@@ -487,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None,
                         help="directory for report.json and artifacts")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="witness residual tolerance")
+                        help="witness residual tolerance (born, "
+                             "envariance-restore and equiv-laws)")
     parser.add_argument("--range", dest="range_max", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--triples", type=int, default=None)

@@ -47,7 +47,7 @@ from .linalg import (
     transport_unitary,
 )
 from .grothendieck import CommutativeMonoid, MonoidPair
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
 class NotEnvariantError(ValueError):
@@ -201,8 +201,8 @@ class WitnessSet:
                     f"witness operator is not unitary (defect {op.unitarity_defect():.3e})"
                 )
 
-    def accepted(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.residual <= tol.witness
+    def accepted(self) -> bool:
+        return self.residual <= DEFAULT_TOL.witness
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,12 @@ def _apply_two_sided(state: StateVector, d_p: int, d_right: int,
     return StateVector(moved.reshape(-1), state.factor_dims)
 
 
-def _support_blocks(coeffs: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+def _support_blocks(coeffs: np.ndarray) -> list[np.ndarray]:
     """Group the indices of nonzero coefficients into degenerate blocks."""
-    support = np.flatnonzero(coeffs > tol.rank_cutoff)
+    support = np.flatnonzero(coeffs > DEFAULT_TOL.rank_cutoff)
     blocks: list[list[int]] = []
     for idx in support:
-        if blocks and abs(coeffs[idx] - coeffs[blocks[-1][-1]]) <= tol.spectrum:
+        if blocks and abs(coeffs[idx] - coeffs[blocks[-1][-1]]) <= DEFAULT_TOL.spectrum:
             blocks[-1].append(int(idx))
         else:
             blocks.append([int(idx)])
@@ -259,8 +259,8 @@ def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, Joi
 # Envariant synthesis and undoing
 # ---------------------------------------------------------------------------
 
-def synthesize_envariant(psi: JointPairState, phase_spec: PhaseSpec,
-                         tol: Tolerances = DEFAULT_TOL) -> tuple[Operator, Operator]:
+def synthesize_envariant(psi: JointPairState,
+                         phase_spec: PhaseSpec) -> tuple[Operator, Operator]:
     """Phase unitaries in the Schmidt bases that jointly restore ``psi``.
 
     The positive-side unitary applies e^{i phi_k} along each Schmidt vector
@@ -269,7 +269,7 @@ def synthesize_envariant(psi: JointPairState, phase_spec: PhaseSpec,
     unchanged.
     """
     coeffs, left, right = psi.schmidt_sides()
-    rank = int(np.sum(coeffs > tol.rank_cutoff))
+    rank = int(np.sum(coeffs > DEFAULT_TOL.rank_cutoff))
     if len(phase_spec.phases) != rank:
         raise RankMismatchError(
             f"{len(phase_spec.phases)} phases given but the Schmidt rank is {rank}"
@@ -285,8 +285,7 @@ def synthesize_envariant(psi: JointPairState, phase_spec: PhaseSpec,
     return Operator(u_p), Operator(u_n)
 
 
-def undo_on_n(psi: JointPairState, u_p: Operator,
-              tol: Tolerances = DEFAULT_TOL) -> WitnessSet:
+def undo_on_n(psi: JointPairState, u_p: Operator) -> WitnessSet:
     """Undo a positive-side unitary by acting solely on the other side.
 
     Requires ``u_p`` to preserve each degenerate Schmidt block of ``psi``'s
@@ -300,7 +299,7 @@ def undo_on_n(psi: JointPairState, u_p: Operator,
             f"u_p dim {u_p.dim} does not match positive factor {psi.pos_dim}"
         )
     coeffs, left, right = psi.schmidt_sides()
-    blocks = _support_blocks(coeffs, tol)
+    blocks = _support_blocks(coeffs)
     support = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
     a_support_h = left[:, support].conj().T
     u_n = np.eye(psi.right_dim, dtype=complex)
@@ -312,14 +311,14 @@ def undo_on_n(psi: JointPairState, u_p: Operator,
         image = u_p.entries @ left[:, block]
         coords = a_support_h @ image
         off_support = float(np.max(np.abs(image - a_support_h.conj().T @ coords)))
-        if off_support > tol.witness:
+        if off_support > DEFAULT_TOL.witness:
             raise NotEnvariantError(
                 "unitary moves a Schmidt vector off the support",
                 mixed_coefficients=(float(coeffs[block[0]]), 0.0),
                 leakage=off_support,
             )
         outside = np.abs(np.delete(coords, rows, axis=0))
-        if outside.size and float(outside.max()) > tol.witness:
+        if outside.size and float(outside.max()) > DEFAULT_TOL.witness:
             worst = np.unravel_index(int(outside.argmax()), outside.shape)[0]
             other = int(np.delete(support, rows)[worst])
             raise NotEnvariantError(
@@ -336,15 +335,14 @@ def undo_on_n(psi: JointPairState, u_p: Operator,
                       residual=distance(restored, psi.joint))
 
 
-def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator,
-                             tol: Tolerances = DEFAULT_TOL) -> Operator:
+def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator) -> Operator:
     """Random element of the envariant subgroup for ``psi``.
 
     Independent Haar blocks inside each degenerate Schmidt block (a random
     phase when the block is one-dimensional) and identity off the support.
     """
     coeffs, left, _ = psi.schmidt_sides()
-    blocks = _support_blocks(coeffs, tol)
+    blocks = _support_blocks(coeffs)
     u_p = np.eye(psi.pos_dim, dtype=complex)
     for block in blocks:
         a_block = left[:, block]
@@ -361,8 +359,7 @@ def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
-                    seed: int = 0,
-                    tol: Tolerances = DEFAULT_TOL) -> EquivalenceVerdict:
+                    seed: int = 0) -> EquivalenceVerdict:
     """Decide whether two pair states are related by side-local unitaries.
 
     The decision is Schmidt-spectrum equality across the positive | negative
@@ -380,7 +377,7 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     xp, yp = _pad_pair(x, y)
     sx = xp.spectrum()
     sy = yp.spectrum()
-    spectra_equal = bool(np.max(np.abs(sx - sy)) <= tol.spectrum)
+    spectra_equal = bool(np.max(np.abs(sx - sy)) <= DEFAULT_TOL.spectrum)
     if not spectra_equal:
         return EquivalenceVerdict(False, sx, sy, (), trials)
 
@@ -394,14 +391,14 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
                             residual=distance(mapped, xp.joint))]
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        rotation = sample_envariant_unitary(xp, rng, tol)
-        undo = undo_on_n(xp, rotation, tol)
+        rotation = sample_envariant_unitary(xp, rng)
+        undo = undo_on_n(xp, rotation)
         w_p = rotation @ map_p
         w_n = undo.u_n @ map_r
         moved = _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, w_p, w_n)
         witnesses.append(WitnessSet(u_p=w_p, u_n=w_n,
                                     residual=distance(moved, xp.joint)))
-    related = all(w.accepted(tol) for w in witnesses)
+    related = all(w.accepted() for w in witnesses)
     return EquivalenceVerdict(related, sx, sy, tuple(witnesses), trials)
 
 
@@ -410,7 +407,7 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
 # ---------------------------------------------------------------------------
 
 def symmetry_witness(x: JointPairState, y: JointPairState, forward: WitnessSet,
-                     v_p: Operator, tol: Tolerances = DEFAULT_TOL) -> WitnessSet:
+                     v_p: Operator) -> WitnessSet:
     """Reverse witness for y ~ x out of a forward witness for x ~ y.
 
     ``forward`` must satisfy (forward.u_p (x) forward.u_n)|y> = |x>.  For the
@@ -424,13 +421,13 @@ def symmetry_witness(x: JointPairState, y: JointPairState, forward: WitnessSet,
         _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, forward.u_p, forward.u_n),
         xp.joint,
     )
-    if residual_fwd > tol.witness:
+    if residual_fwd > DEFAULT_TOL.witness:
         raise ValueError(
             f"forward witness does not hold (residual {residual_fwd:.3e})"
         )
     requested = v_p.dagger
     env_part = forward.u_p.dagger @ requested
-    env_undo = undo_on_n(yp, env_part, tol)
+    env_undo = undo_on_n(yp, env_part)
     u_n = forward.u_n @ env_undo.u_n
     v_n = u_n.dagger
     reversed_state = _apply_two_sided(xp.joint, xp.pos_dim, xp.right_dim, v_p, v_n)
@@ -466,8 +463,7 @@ class PairLink:
 
 def link_product_pairs(left: tuple[StateVector, StateVector],
                        right: tuple[StateVector, StateVector],
-                       ancilla: Optional[StateVector] = None,
-                       tol: Tolerances = DEFAULT_TOL) -> PairLink:
+                       ancilla: Optional[StateVector] = None) -> PairLink:
     """Build and certify a link between two product pairs.
 
     Any two product pairs of matching slot dimensions are related; the
@@ -493,8 +489,7 @@ def link_product_pairs(left: tuple[StateVector, StateVector],
                     ancilla=ancilla, ancilla_unitary=u_anc, witness=witness)
 
 
-def link_undo(link: PairLink, u_p: Operator,
-              tol: Tolerances = DEFAULT_TOL) -> Operator:
+def link_undo(link: PairLink, u_p: Operator) -> Operator:
     """The negative-side unitary matching ``u_p`` in the link's equation.
 
     ``u_p`` must transport the link's right_pos onto left_pos up to a phase;
@@ -503,7 +498,7 @@ def link_undo(link: PairLink, u_p: Operator,
     """
     overlap = complex(np.vdot(link.left_pos.amplitudes,
                               u_p.entries @ link.right_pos.amplitudes))
-    if 1.0 - abs(overlap) > tol.witness:
+    if 1.0 - abs(overlap) > DEFAULT_TOL.witness:
         raise NotEnvariantError(
             "unitary does not transport the link's positive slot",
             mixed_coefficients=(1.0, float(abs(overlap))),
@@ -514,8 +509,7 @@ def link_undo(link: PairLink, u_p: Operator,
     return Operator(overlap.conjugate() * transport)
 
 
-def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator,
-                         tol: Tolerances = DEFAULT_TOL) -> WitnessSet:
+def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> WitnessSet:
     """Chain two links into a witness for left-of-first ~ right-of-second.
 
     With the links (a,b) ~ (c,d) and (c,d) ~ (e,f) and a caller-chosen
@@ -526,15 +520,15 @@ def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator,
     identity is validated after the canonical slot re-identification (the pair
     register exchanged with the matching chi slots).
     """
-    if first.witness.residual > tol.witness or second.witness.residual > tol.witness:
+    if max(first.witness.residual, second.witness.residual) > DEFAULT_TOL.witness:
         raise ValueError("input witnesses must be accepted before chaining")
-    if distance(first.right_pos, second.left_pos) > tol.witness or \
-            distance(first.right_neg, second.left_neg) > tol.witness:
+    if max(distance(first.right_pos, second.left_pos),
+           distance(first.right_neg, second.left_neg)) > DEFAULT_TOL.witness:
         raise DimensionMismatchError(
             "links do not share their middle pair; cannot chain"
         )
-    w_n = link_undo(first, w_p, tol)
-    v_n = link_undo(second, w_p, tol)
+    w_n = link_undo(first, w_p)
+    v_n = link_undo(second, w_p)
     u_xi = first.ancilla_unitary
     v_eta = second.ancilla_unitary
     chi = tensor(first.right_neg, first.right_pos, first.ancilla, second.ancilla)
@@ -550,8 +544,7 @@ def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator,
                       residual=residual)
 
 
-def sample_chain(d_p: int, d_n: int, seed: int,
-                 tol: Tolerances = DEFAULT_TOL) -> tuple[PairLink, PairLink, Operator]:
+def sample_chain(d_p: int, d_n: int, seed: int) -> tuple[PairLink, PairLink, Operator]:
     """A two-link chain plus a positive-side unitary valid for both links.
 
     The chain is built from the unitary outward -- right_pos of each link is
@@ -567,8 +560,8 @@ def sample_chain(d_p: int, d_n: int, seed: int,
         StateVector(rng.standard_normal(d_n) + 1j * rng.standard_normal(d_n))
         for _ in range(3)
     )
-    first = link_product_pairs((a, b), (c, d), tol=tol)
-    second = link_product_pairs((c, d), (e, f), tol=tol)
+    first = link_product_pairs((a, b), (c, d))
+    second = link_product_pairs((c, d), (e, f))
     return first, second, w_p
 
 
@@ -584,7 +577,7 @@ def _dimension_cross_rule(x: MonoidPair, y: MonoidPair) -> bool:
     return x.pos.dim * y.neg.dim == x.neg.dim * y.pos.dim
 
 
-def composability_monoid(tol: Tolerances = DEFAULT_TOL) -> CommutativeMonoid:
+def composability_monoid() -> CommutativeMonoid:
     """States under the tensor product, as a group-completion input.
 
     Pair equivalence follows the dimension cross rule: the crossed sides
@@ -598,7 +591,7 @@ def composability_monoid(tol: Tolerances = DEFAULT_TOL) -> CommutativeMonoid:
         name="state-composability",
         combine=tensor,
         identity=trivial_state(),
-        eq=lambda u, v: u.dim == v.dim and distance(u, v) <= tol.witness,
+        eq=lambda u, v: u.dim == v.dim and distance(u, v) <= DEFAULT_TOL.witness,
         cancellative=True,
         pair_decision=_dimension_cross_rule,
     )

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -118,8 +118,8 @@ class Operator:
         d = self.dim
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
 
-    def is_unitary(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.unitarity_defect() <= tol.unitary
+    def is_unitary(self) -> bool:
+        return self.unitarity_defect() <= DEFAULT_TOL.unitary
 
     def apply(self, state: StateVector) -> StateVector:
         if self.dim != state.dim:
@@ -148,19 +148,19 @@ class DensityMatrix:
 
     __slots__ = ("entries", "eigenvalues")
 
-    def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         herm_defect = float(np.max(np.abs(m - m.conj().T)))
-        if herm_defect > tol.density:
+        if herm_defect > DEFAULT_TOL.density:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol.density:
+        if abs(tr - 1.0) > DEFAULT_TOL.density:
             raise ValueError(f"trace is {tr}, expected 1")
         m = ((m + m.conj().T) / 2).copy()
         eigs = np.linalg.eigvalsh(m)
-        if float(eigs.min()) < -tol.density:
+        if float(eigs.min()) < -DEFAULT_TOL.density:
             raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
         m.setflags(write=False)
         eigs.setflags(write=False)
@@ -251,10 +251,10 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(matrix @ matrix.conj().T)
 
 
-def entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy in bits; eigenvalues <= the floor contribute 0."""
     eigs = rho.eigenvalues
-    eigs = eigs[eigs > tol.entropy_floor]
+    eigs = eigs[eigs > DEFAULT_TOL.entropy_floor]
     return float(-np.sum(eigs * np.log2(eigs)))
 
 

@@ -1,8 +1,8 @@
 """Central numerical tolerances and size budgets.
 
-Every comparison threshold used by the package lives in one frozen record so
-that tests can tighten or relax them in a single place instead of scattering
-magic numbers through the code.
+Every comparison threshold used by the package lives in one frozen record
+instead of being scattered through the code as magic numbers.  The library
+reads ``DEFAULT_TOL``; no function takes a per-call override.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Acceptance suite: one test per exit criterion, at the stated tolerances.
 
-Each test prints a single pass/fail line; run
+Criteria 1, 2, 3 and 7 are scenario configs: one table row each, run through
+``cli.run``, with their bounds asserted on the report.  The rest are their own
+tests.  Each test prints a single pass/fail line; run
 
     pytest tests/test_acceptance.py -v -s
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from unicollapse import envariance as env
-from unicollapse.cli import main as cli_main
+from unicollapse.cli import ScenarioConfig, main as cli_main, run as cli_run
 from unicollapse.collapse import (
     RationalWeights,
     _transposition_residuals,
@@ -32,23 +34,10 @@ from unicollapse.collapse import (
     gate_defect,
     global_entropy,
     premeasure,
-    recover,
     redundancy,
-)
-from unicollapse.grothendieck import (
-    NATURALS_ADD,
-    GroupElement,
-    MonoidPair,
-    element,
-    group_add,
-    group_neg,
-    pair_equivalent,
-    pair_equivalent_bulk,
 )
 from unicollapse.linalg import (
     StateVector,
-    distance,
-    fidelity,
     haar_unitary,
     partial_trace,
     random_state,
@@ -62,117 +51,72 @@ def announce(number: int, passed: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1. Grothendieck integer oracle, exhaustive on [0, 50]^4, under 10 s
+# Criteria run as scenarios: (number, config, wall-time bound in s, the bound
+# on each check's residual, expected ``results`` entries)
+#   1. Grothendieck integer oracle, exhaustive on [0, 50]^4 and its 13^4
+#      object subcube, under 10 s
+#   2. Envariance restoration on 100 random states, under 5 s
+#   3. Reflexivity, verdict laws, and symmetry and transitivity witnesses on
+#      200 sampled triples, under 60 s
+#   7. No-hiding at d = 2 and d = 3: every bleached marginal maximally mixed,
+#      hence input-independent, and every input recovered from the ancillas
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_grothendieck_oracle():
+NOHIDE_BOUNDS = {
+    "bleached_marginal_input_independent": 1e-10,
+    "bleached_marginal_maximally_mixed": 1e-10,
+    "recovery_infidelity": 1e-10,
+    "ancilla_dimension_exact": 0,
+    "bleach_map_unitary": 1e-10,
+}
+
+SCENARIO_CRITERIA = [
+    pytest.param(
+        1, ScenarioConfig(scenario="grothendieck-int", range_max=50), 10.0,
+        {"relation_matches_integer_oracle": 0, "add_neg_homomorphism": 0,
+         "object_layer_exhaustive": 0},
+        {"tuples_checked": 51 ** 4, "object_tuples_checked": 13 ** 4},
+        id="1-grothendieck-int"),
+    pytest.param(
+        2, ScenarioConfig(scenario="envariance-restore", trials=100, seed=20_206),
+        5.0, {"restoration_residual_max": 1e-9}, {"trials": 100},
+        id="2-envariance-restore"),
+    pytest.param(
+        3, ScenarioConfig(scenario="equiv-laws", triples=200, seed=33_003), 60.0,
+        {"reflexivity_failures": 0, "verdict_law_failures": 0,
+         "symmetry_residual_max": 1e-9, "transitivity_residual_max": 1e-9},
+        {"triples": 200}, id="3-equiv-laws"),
+    *(pytest.param(
+        7, ScenarioConfig(scenario="nohide", dim=d, inputs=50, seed=70_000 + d),
+        math.inf, NOHIDE_BOUNDS, {"dim": d, "inputs": 50}, id=f"7-nohide-d{d}")
+      for d in (2, 3)),
+]
+
+
+@pytest.mark.parametrize("number, config, seconds, bounds, results",
+                         SCENARIO_CRITERIA)
+def test_criterion_through_cli(number, config, seconds, bounds, results):
     started = time.perf_counter()
-    top = 50
-    values = np.arange(top + 1)
-    b, c, d = np.meshgrid(values, values, values, indexing="ij")
-    mismatches = 0
-    y = GroupElement(MonoidPair(c, d), NATURALS_ADD)
-    for a in range(top + 1):
-        relation = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
-        oracle = (a - b) == (c - d)
-        mismatches += int(np.count_nonzero(relation != oracle))
-        total = group_add(GroupElement(MonoidPair(a, b), NATURALS_ADD), y)
-        mismatches += int(np.count_nonzero(
-            (total.pair.pos - total.pair.neg) != (a - b) + (c - d)))
-    a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
-    neg = group_neg(GroupElement(MonoidPair(a_grid, b_grid), NATURALS_ADD))
-    mismatches += int(np.count_nonzero(
-        (neg.pair.pos - neg.pair.neg) != -(a_grid - b_grid)))
-
-    # object layer, exhaustive on a subcube, against the same oracle
-    object_top = 12
-    for a in range(object_top + 1):
-        for b_ in range(object_top + 1):
-            x = element(NATURALS_ADD, a, b_)
-            neg = group_neg(x)
-            if (neg.pair.pos - neg.pair.neg) != -(a - b_):
-                mismatches += 1
-            for c_ in range(object_top + 1):
-                for d_ in range(object_top + 1):
-                    y = element(NATURALS_ADD, c_, d_)
-                    if pair_equivalent(x.pair, y.pair, NATURALS_ADD) != \
-                            ((a - b_) == (c_ - d_)):
-                        mismatches += 1
-                    total = group_add(x, y)
-                    if (total.pair.pos - total.pair.neg) != (a - b_) + (c_ - d_):
-                        mismatches += 1
-
+    report, code = cli_run(config)
     elapsed = time.perf_counter() - started
-    passed = mismatches == 0 and elapsed < 10.0
-    announce(1, passed,
-             f"integer oracle, {51 ** 4} tuples + {13 ** 4} object tuples, "
-             f"{mismatches} mismatches, {elapsed:.2f}s")
-    assert mismatches == 0
-    assert elapsed < 10.0
-
-
-# ---------------------------------------------------------------------------
-# 2. Envariance restoration on 100 random states, under 5 s
-# ---------------------------------------------------------------------------
-
-def test_criterion_2_restoration():
-    started = time.perf_counter()
-    rng = np.random.default_rng(20_206)
-    dims = np.array([2, 3, 4, 6])
-    worst = 0.0
-    for _ in range(100):
-        d_p = int(rng.choice(dims))
-        d_n = int(rng.choice(dims))
-        pair = env.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)),
-                                  (d_p, d_n))
-        rank = int(np.sum(pair.spectrum() > 1e-12))
-        u_p, u_n = env.synthesize_envariant(pair, env.PhaseSpec.random(rank, rng))
-        restored = env._apply_two_sided(pair.joint, d_p, d_n, u_p, u_n)
-        worst = max(worst, distance(restored, pair.joint))
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1e-9 and elapsed < 5.0
-    announce(2, passed,
-             f"restoration over 100 states, max residual {worst:.2e}, "
-             f"{elapsed:.2f}s")
-    assert worst <= 1e-9
-    assert elapsed < 5.0
-
-
-# ---------------------------------------------------------------------------
-# 3. Symmetry and transitivity witnesses on 200 sampled triples, under 60 s
-# ---------------------------------------------------------------------------
-
-def test_criterion_3_symmetry_and_transitivity_witnesses():
-    started = time.perf_counter()
-    rng = np.random.default_rng(33_003)
-    symmetry_worst = 0.0
-    transitivity_worst = 0.0
-    for index in range(200):
-        d_p = int(rng.choice([2, 3]))
-        d_n = int(rng.choice([2, 3]))
-        x = env.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)),
-                               (d_p, d_n))
-        moved = env._apply_two_sided(x.joint, d_p, d_n,
-                                     haar_unitary(d_p, rng),
-                                     haar_unitary(d_n, rng))
-        y = env.JointPairState(moved, (d_p, d_n))
-        forward = env.pair_equivalent(x, y, trials=1, seed=index).witnesses[0]
-        v_p = (forward.u_p @ env.sample_envariant_unitary(y, rng)).dagger
-        reverse = env.symmetry_witness(x, y, forward, v_p)
-        symmetry_worst = max(symmetry_worst, reverse.residual)
-
-        first, second, w_p = env.sample_chain(d_p, d_n, 100_000 + index)
-        chained = env.transitivity_witness(first, second, w_p)
-        transitivity_worst = max(transitivity_worst, chained.residual)
-    elapsed = time.perf_counter() - started
-    passed = (symmetry_worst <= 1e-9 and transitivity_worst <= 1e-9
-              and elapsed < 60.0)
-    announce(3, passed,
-             f"200 triples, reverse witness max {symmetry_worst:.2e}, "
-             f"chained witness max {transitivity_worst:.2e}, {elapsed:.2f}s")
-    assert symmetry_worst <= 1e-9
-    assert transitivity_worst <= 1e-9
-    assert elapsed < 60.0
+    residuals = {check["name"]: check["residual"] for check in report["checks"]}
+    passed = (code == 0 and report["passed"] and elapsed < seconds
+              and residuals.keys() == bounds.keys()
+              and all(residuals[name] <= bound for name, bound in bounds.items())
+              and all(report["results"][key] == value
+                      for key, value in results.items()))
+    announce(number, passed,
+             f"{config.scenario} {report['results']}, "
+             + ", ".join(f"{name} {value:.2e}" for name, value in residuals.items())
+             + f", {elapsed:.2f}s")
+    assert code == 0
+    assert report["passed"]
+    assert residuals.keys() == bounds.keys()
+    for name, bound in bounds.items():
+        assert residuals[name] <= bound, name
+    for key, value in results.items():
+        assert report["results"][key] == value, key
+    assert elapsed < seconds
 
 
 # ---------------------------------------------------------------------------
@@ -357,39 +301,6 @@ def _mutual_information(joint: StateVector, h_system: float,
     h_frag = entropy(partial_trace(joint, keep=fragment))
     h_joint = entropy(partial_trace(joint, keep=[0, *fragment]))
     return h_system + h_frag - h_joint
-
-
-# ---------------------------------------------------------------------------
-# 7. No-hiding at d = 2 and d = 3
-# ---------------------------------------------------------------------------
-
-def test_criterion_7_no_hiding():
-    for d in (2, 3):
-        rng = np.random.default_rng(70_000 + d)
-        sigmas = []
-        fidelity_worst = 1.0
-        for _ in range(50):
-            psi = random_state(d, rng)
-            result = bleach(psi)
-            assert result.joint.factor_dims == (d, d, d)
-            assert math.prod(result.joint.factor_dims[1:]) == d * d
-            sigmas.append(result.sigma_system)
-            fidelity_worst = min(fidelity_worst,
-                                 fidelity(recover(result.joint), psi))
-        pairwise = max(
-            distance(sigmas[i], sigmas[j])
-            for i in range(50) for j in range(i + 1, 50)
-        )
-        mixed = max(float(np.max(np.abs(s.entries - np.eye(d) / d)))
-                    for s in sigmas)
-        passed = pairwise <= 1e-10 and mixed <= 1e-10 and \
-            fidelity_worst >= 1 - 1e-10
-        announce(7, passed,
-                 f"d={d}: pairwise distance {pairwise:.2e}, mixedness defect "
-                 f"{mixed:.2e}, worst fidelity 1-{1 - fidelity_worst:.2e}")
-        assert pairwise <= 1e-10
-        assert mixed <= 1e-10
-        assert fidelity_worst >= 1 - 1e-10
 
 
 # ---------------------------------------------------------------------------

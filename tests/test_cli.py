@@ -180,6 +180,30 @@ def test_identity_group_neg_fails_homomorphism(monkeypatch, capsys):
     assert "add_neg_homomorphism" in failed
 
 
+def test_grothendieck_sweep_counts_what_it_checks(monkeypatch):
+    real = cli.pair_equivalent_bulk
+    verdicts = []
+
+    def counted(*args):
+        result = real(*args)
+        verdicts.append(np.size(result))
+        return result
+
+    monkeypatch.setattr(cli, "pair_equivalent_bulk", counted)
+    report, code = run(ScenarioConfig(scenario="grothendieck-int", range_max=6))
+    assert code == 0
+    assert sum(verdicts) == report["results"]["tuples_checked"] == 7 ** 4
+
+
+@pytest.mark.parametrize("extra", [[], ["--record-angle", "0.7"]])
+def test_darwinism_single_environment_qubit(extra, capsys):
+    # no fragment lies strictly inside one qubit: the plateau is vacuous
+    assert main(["darwinism", "--env-qubits", "1", *extra]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["passed"]
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 # ---------------------------------------------------------------------------
