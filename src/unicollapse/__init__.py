@@ -35,7 +35,6 @@ from .envariance import (
     JointPairState,
     NotEnvariantError,
     PairLink,
-    PhaseSpec,
     WitnessSet,
     composability_monoid,
     link_product_pairs,

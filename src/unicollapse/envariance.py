@@ -65,7 +65,7 @@ class NotEnvariantError(ValueError):
 
 
 class RankMismatchError(ValueError):
-    """A phase specification does not match the Schmidt rank it applies to."""
+    """The phases given do not match the Schmidt rank they apply to."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +152,6 @@ class JointPairState:
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
-    """Per-Schmidt-vector phases and integer shifts for envariant synthesis.
-
-    The integer shifts enter the undoing side only through e^{-i 2 pi l} = 1,
-    so they are validated and recorded but numerically inert.
-    """
-
-    phases: tuple[float, ...]
-    integer_shifts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        shifts = tuple(int(s) for s in self.integer_shifts)
-        if len(shifts) != len(self.phases):
-            raise RankMismatchError(
-                f"{len(self.phases)} phases but {len(shifts)} integer shifts"
-            )
-        object.__setattr__(self, "integer_shifts", shifts)
-
-    @classmethod
-    def random(cls, rank: int, rng: np.random.Generator) -> "PhaseSpec":
-        return cls(tuple(rng.uniform(0.0, 2.0 * math.pi, size=rank)),
-                   tuple(int(s) for s in rng.integers(-3, 4, size=rank)))
-
-
-@dataclass(frozen=True)
 class WitnessSet:
     """The unitaries realizing one witness equation, with its residual.
 
@@ -260,7 +234,7 @@ def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, Joi
 # ---------------------------------------------------------------------------
 
 def synthesize_envariant(psi: JointPairState,
-                         phase_spec: PhaseSpec) -> tuple[Operator, Operator]:
+                         phases: Sequence[float]) -> tuple[Operator, Operator]:
     """Phase unitaries in the Schmidt bases that jointly restore ``psi``.
 
     The positive-side unitary applies e^{i phi_k} along each Schmidt vector
@@ -270,17 +244,16 @@ def synthesize_envariant(psi: JointPairState,
     """
     coeffs, left, right = psi.schmidt_sides()
     rank = int(np.sum(coeffs > DEFAULT_TOL.rank_cutoff))
-    if len(phase_spec.phases) != rank:
+    if len(phases) != rank:
         raise RankMismatchError(
-            f"{len(phase_spec.phases)} phases given but the Schmidt rank is {rank}"
+            f"{len(phases)} phases given but the Schmidt rank is {rank}"
         )
     u_p = np.eye(psi.pos_dim, dtype=complex)
     u_n = np.eye(psi.right_dim, dtype=complex)
-    for k, phi in enumerate(phase_spec.phases):
+    for k, phi in enumerate(phases):
         a_k = left[:, k]
         b_k = right[:, k]
         u_p += (np.exp(1j * phi) - 1.0) * np.outer(a_k, a_k.conj())
-        # the integer shift contributes e^{-i 2 pi l} = 1 and is dropped
         u_n += (np.exp(-1j * phi) - 1.0) * np.outer(b_k, b_k.conj())
     return Operator(u_p), Operator(u_n)
 

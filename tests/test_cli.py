@@ -1,13 +1,18 @@
 """End-to-end tests for the scenario runner."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from unicollapse import cli, collapse
+from unicollapse import cli, collapse, envariance
 from unicollapse.cli import (
     REPORT_SCHEMA,
     ConfigError,
@@ -34,7 +39,7 @@ def test_all_scenarios_pass(tmp_path, capsys):
         ["grothendieck-int", "--range", "12"],
         ["envariance-restore", "--trials", "20", "--seed", "5"],
         ["equiv-laws", "--triples", "8", "--seed", "3"],
-        ["born", "--weights", "2,3,5", "--denominator", "10"],
+        ["born", "--weights", "2,3,5"],
         ["darwinism", "--env-qubits", "6", "--seed", "2",
          "--out", str(tmp_path / "darwin")],
         ["nohide", "--dim", "2", "--inputs", "6", "--seed", "1"],
@@ -47,9 +52,10 @@ def test_all_scenarios_pass(tmp_path, capsys):
 
 
 def test_born_report_serializes_exact_fractions(capsys):
-    assert main(["born", "--weights", "1,2", "--denominator", "3"]) == 0
+    assert main(["born", "--weights", "1,2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["probabilities"] == ["1/3", "2/3"]
+    assert report["results"]["denominator"] == 3
     for check in report["checks"]:
         assert check["passed"]
 
@@ -83,15 +89,6 @@ def test_same_seed_gives_byte_identical_outputs(tmp_path, capsys):
     assert strip_timing(first_report.decode()) == strip_timing(second_report.decode())
 
 
-def test_failing_tolerance_exits_one(capsys):
-    code = main(["envariance-restore", "--trials", "5", "--tolerance", "1e-30"])
-    assert code == 1
-    report = json.loads(capsys.readouterr().out)
-    assert not report["passed"]
-    failing = [c for c in report["checks"] if not c["passed"]]
-    assert failing and failing[0]["residual"] > failing[0]["tolerance"]
-
-
 def test_records_that_miss_the_joint_fail_gram_check(monkeypatch, capsys):
     real = cli.premeasure
 
@@ -114,6 +111,47 @@ def _failed_checks(argv, capsys) -> set:
     captured = capsys.readouterr()
     assert captured.err == ""
     return {c["name"] for c in json.loads(captured.out)["checks"] if not c["passed"]}
+
+
+def test_adjoint_undo_fails_restoration(monkeypatch, capsys):
+    real = envariance.synthesize_envariant
+
+    def adjoint_undo(psi, phases):
+        u_p, u_n = real(psi, phases)
+        return u_p, u_n.dagger
+
+    monkeypatch.setattr(envariance, "synthesize_envariant", adjoint_undo)
+    failed = _failed_checks(["envariance-restore", "--trials", "5"], capsys)
+    assert failed == {"restoration_residual_max"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--record-angle", "0.7"]])
+def test_random_records_fail_closed_form(extra, monkeypatch, capsys):
+    real = cli.premeasure
+    rng = np.random.default_rng(8)
+
+    def random_records(system, n_env, record_angle=None):
+        state = real(system, n_env, record_angle=record_angle)
+        shape = state.records.shape
+        records = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        records /= np.linalg.norm(records, axis=-1, keepdims=True)
+        return dataclasses.replace(state, records=records)
+
+    monkeypatch.setattr(cli, "premeasure", random_records)
+    failed = _failed_checks(["darwinism", "--env-qubits", "8", *extra], capsys)
+    assert "curve_matches_closed_form" in failed
+
+
+def test_overlarge_pair_information_fails_closed_form(monkeypatch, capsys):
+    real = collapse.fragment_information
+
+    def inflated(state, fragments):
+        h_system, info = real(state, fragments)
+        return h_system, info + (3.0 if fragments.shape[1] == 2 else 0.0)
+
+    monkeypatch.setattr(collapse, "fragment_information", inflated)
+    failed = _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
+    assert "curve_matches_closed_form" in failed
 
 
 def _scaled_dense_shift(scale):
@@ -197,11 +235,58 @@ def test_grothendieck_sweep_counts_what_it_checks(monkeypatch):
 
 @pytest.mark.parametrize("extra", [[], ["--record-angle", "0.7"]])
 def test_darwinism_single_environment_qubit(extra, capsys):
-    # no fragment lies strictly inside one qubit: the plateau is vacuous
+    # the curve holds only f = 0 and f = N
     assert main(["darwinism", "--env-qubits", "1", *extra]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["passed"]
+
+
+DARWINISM_CHECKS = ["broadcast_gate_unitary", "global_purity", "gram_matches_dense",
+                    "curve_matches_closed_form", "curve_monotone_defect"]
+# None (perfect records) or log-uniform in [1e-12, pi/2]
+RECORD_ANGLES = st.none() | st.floats(math.log(1e-12), math.log(math.pi / 2)).map(
+    lambda exponent: min(math.exp(exponent), math.pi / 2))
+
+
+def _main_captured(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with its stdout and stderr captured (hypothesis-safe)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} in a report")
+
+
+@given(n=st.integers(1, 6), angle=RECORD_ANGLES, samples=st.integers(1, 40),
+       delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32))
+@example(n=5, angle=1e-9, samples=40, delta=0.1, seed=0)  # H_S ~ 0: R = 0
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_darwinism_passes_over_its_validated_domain(n, angle, samples, delta, seed):
+    argv = ["darwinism", "--env-qubits", str(n), "--samples-per-size",
+            str(samples), "--delta", repr(delta), "--seed", str(seed)]
+    if angle is not None:
+        argv += ["--record-angle", repr(angle)]
+    code, out, err = _main_captured(argv)
+    assert (code, err) == (0, ""), argv
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in report["checks"]] == DARWINISM_CHECKS
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--env-qubits", "0"), ("--env-qubits", "13"),
+    ("--record-angle", "0.0"), ("--record-angle", repr(math.nextafter(math.pi / 2, 4))),
+    ("--samples-per-size", "0"), ("--delta", "0.0"), ("--delta", "1.0"),
+    ("--seed", "-1"),
+])
+def test_darwinism_one_step_outside_its_domain_exits_two(flag, value):
+    code, out, err = _main_captured(["darwinism", f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +314,6 @@ def test_config_scenario_mismatch_rejected(tmp_path, capsys):
     config = tmp_path / "other.json"
     config.write_text(json.dumps({"scenario": "nohide"}))
     assert main(["born", "--config", str(config)]) == 2
-
-
-def test_denominator_mismatch_is_config_error(capsys):
-    assert main(["born", "--weights", "1,2", "--denominator", "4"]) == 2
-    assert "denominator" in capsys.readouterr().err
 
 
 def test_budget_violations_are_config_errors(capsys):
@@ -268,11 +348,11 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
 def test_validate_checks_field_types():
     for bad in ({"seed": True}, {"seed": 1.0}, {"dim": "3"},
                 {"record_angle": "0.5"}, {"weights": (1, 2.0)},
-                {"weights": [1, 2]}, {"out": 3}, {"tolerance": None}):
+                {"weights": [1, 2]}, {"out": 3}, {"delta": None}):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="nohide", **bad).validate()
     # an int is a valid float, and None a valid Optional
-    ScenarioConfig(scenario="darwinism", record_angle=1, denominator=None).validate()
+    ScenarioConfig(scenario="darwinism", record_angle=1, out=None).validate()
 
 
 def test_unknown_scenario_rejected_by_parser():

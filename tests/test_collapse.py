@@ -14,8 +14,6 @@ from unicollapse import collapse
 from unicollapse.collapse import (
     BranchingState,
     BudgetError,
-    CurvePoint,
-    MutualInformationCurve,
     RationalWeights,
     _apply_gate,
     _controlled_phase,
@@ -24,6 +22,7 @@ from unicollapse.collapse import (
     bleach,
     bleach_map,
     born_from_envariance,
+    closed_form_curve,
     controlled_rotation_gate,
     controlled_shift_gate,
     darwinism_curve,
@@ -360,15 +359,6 @@ def test_redundancy_scan_matches_brute_force():
         redundancy(curve, 1.5)
 
 
-def test_curve_invariant_rejects_overlarge_information():
-    with pytest.raises(ValueError):
-        MutualInformationCurve(
-            (CurvePoint(0, 0.0, 1), CurvePoint(1, 2.5, 1)),
-            system_entropy=1.0,
-            n_env=1,
-        )
-
-
 def test_darwinism_budget():
     big = premeasure(random_state(4, 1), 6)  # env dim 4^6 = 4096, at the edge
     darwinism_curve(big, samples_per_size=2)
@@ -451,6 +441,19 @@ def test_gram_information_matches_ghz_closed_form(theta):
             fragments = np.array(list(combinations(range(1, n + 1), f)))
             info = fragment_information(state, fragments)[1]
             assert np.max(np.abs(info - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [None, 1e-9, 1e-4, 0.3, 1.2, np.pi / 2])
+def test_closed_form_curve_matches_binary_entropy_formula(theta):
+    # perfect records have overlap c = 0; the closed form reads no state
+    c = 0.0 if theta is None else math.cos(theta)
+    for n in range(1, 13):
+        expected = [_binary_entropy((1 + c ** n) / 2)
+                    + _binary_entropy((1 + c ** f) / 2)
+                    - _binary_entropy((1 + c ** (n - f)) / 2)
+                    for f in range(n + 1)]
+        np.testing.assert_allclose(closed_form_curve(n, theta), expected,
+                                   rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from unicollapse.envariance import (
     JointPairState,
     NotEnvariantError,
     PairLink,
-    PhaseSpec,
     RankMismatchError,
     WitnessSet,
     _apply_two_sided,
@@ -98,7 +97,7 @@ def test_spectator_ancilla_leaves_spectrum_unchanged():
 def test_synthesize_bell_phase_pair():
     x = bell_pair()
     theta = 0.9
-    u_p, u_n = synthesize_envariant(x, PhaseSpec((0.0, theta), (0, 0)))
+    u_p, u_n = synthesize_envariant(x, (0.0, theta))
     _, left, _ = schmidt(x.joint, (2, 2))
     a0, a1 = left.T
     np.testing.assert_allclose(u_p.entries @ a0, a0, atol=1e-12)
@@ -109,23 +108,14 @@ def test_synthesize_bell_phase_pair():
 
 def test_synthesize_zero_phases_is_identity():
     x = random_pair(3, 4, 9)
-    u_p, u_n = synthesize_envariant(x, PhaseSpec((0.0,) * 3, (0,) * 3))
+    u_p, u_n = synthesize_envariant(x, (0.0,) * 3)
     np.testing.assert_allclose(u_p.entries, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(u_n.entries, np.eye(4), atol=1e-12)
 
 
-def test_integer_shifts_are_numerically_inert():
-    x = random_pair(2, 3, 14)
-    _, u_n_zero = synthesize_envariant(x, PhaseSpec((0.3, 1.1), (0, 0)))
-    _, u_n_shift = synthesize_envariant(x, PhaseSpec((0.3, 1.1), (5, -2)))
-    np.testing.assert_array_equal(u_n_zero.entries, u_n_shift.entries)
-
-
 def test_synthesize_rank_mismatch():
     with pytest.raises(RankMismatchError):
-        synthesize_envariant(bell_pair(), PhaseSpec((0.1,), (0,)))
-    with pytest.raises(RankMismatchError):
-        PhaseSpec((0.1, 0.2), (0,))
+        synthesize_envariant(bell_pair(), (0.1,))
 
 
 def test_restoration_property_random_states():
@@ -135,7 +125,7 @@ def test_restoration_property_random_states():
         d_p, d_n = rng.choice(dims), rng.choice(dims)
         x = random_pair(int(d_p), int(d_n), int(rng.integers(1 << 31)))
         rank = int(np.sum(x.spectrum() > 1e-12))
-        u_p, u_n = synthesize_envariant(x, PhaseSpec.random(rank, rng))
+        u_p, u_n = synthesize_envariant(x, rng.uniform(0.0, 2 * np.pi, size=rank))
         restored = _apply_two_sided(x.joint, x.pos_dim, x.right_dim, u_p, u_n)
         assert distance(restored, x.joint) <= 1e-9
 
