@@ -159,7 +159,9 @@ class WitnessSet:
     designates as the other side (the full negative+ancilla register for
     restoration witnesses, the bare negative factor for chained links);
     ``u_ancilla`` and ``ancilla`` are populated by constructions that need an
-    explicit ancilla register.
+    explicit ancilla register.  Construction does not judge the operators'
+    unitarity: whoever reports on a witness reads ``unitarity_defect`` of
+    each, as the equiv-laws scenario does.
     """
 
     u_p: Operator
@@ -167,13 +169,6 @@ class WitnessSet:
     u_ancilla: Optional[Operator] = None
     ancilla: Optional[StateVector] = None
     residual: float = 0.0
-
-    def __post_init__(self):
-        for op in (self.u_p, self.u_n, self.u_ancilla):
-            if op is not None and not op.is_unitary():
-                raise ValueError(
-                    f"witness operator is not unitary (defect {op.unitarity_defect():.3e})"
-                )
 
     def accepted(self) -> bool:
         return self.residual <= DEFAULT_TOL.witness

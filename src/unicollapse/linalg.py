@@ -81,10 +81,6 @@ class StateVector:
         new = np.transpose(tensor_view, order).reshape(-1)
         return StateVector(new, tuple(self.factor_dims[i] for i in order))
 
-    def with_factors(self, factor_dims: Sequence[int]) -> "StateVector":
-        """Reinterpret the same amplitudes under a different factorization."""
-        return StateVector(self.amplitudes, factor_dims)
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, factor_dims={self.factor_dims})"
 
@@ -117,9 +113,6 @@ class Operator:
         """max-norm of U^dag U - I."""
         d = self.dim
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
-
-    def is_unitary(self) -> bool:
-        return self.unitarity_defect() <= DEFAULT_TOL.unitary
 
     def apply(self, state: StateVector) -> StateVector:
         if self.dim != state.dim:

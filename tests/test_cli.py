@@ -21,7 +21,7 @@ from unicollapse.cli import (
     run,
 )
 from unicollapse.grothendieck import GroupElement, MonoidPair
-from unicollapse.linalg import StateVector
+from unicollapse.linalg import Operator, StateVector, partial_trace, random_state
 
 
 def strip_timing(report_text: str) -> dict:
@@ -154,6 +154,63 @@ def test_overlarge_pair_information_fails_closed_form(monkeypatch, capsys):
     assert "curve_matches_closed_form" in failed
 
 
+@pytest.mark.parametrize("n", [8, 11])
+def test_nearly_perfect_records_fail_angle_check(n, monkeypatch, capsys):
+    # overlap ~1e-5 moves the closed-form gap by only ~7e-11, inside its 1e-9
+    real = cli.premeasure
+
+    def nearly_perfect(system, n_env, record_angle=None):
+        return real(system, n_env, record_angle=math.pi / 2 - 1e-5)
+
+    monkeypatch.setattr(cli, "premeasure", nearly_perfect)
+    failed = _failed_checks(["darwinism", "--env-qubits", str(n)], capsys)
+    assert failed == {"records_match_angle"}
+
+
+def test_scaled_fourier_fails_bleach_unitarity_beyond_dense_limit(monkeypatch, capsys):
+    real = collapse.fourier_matrix
+    monkeypatch.setattr(collapse, "fourier_matrix", lambda dim: 1.001 * real(dim))
+    failed = _failed_checks(["nohide", "--dim", "25", "--inputs", "12"], capsys)
+    assert failed == {"bleach_map_unitary"}
+
+
+def test_scaled_envariant_rotation_fails_witness_unitarity(monkeypatch, capsys):
+    real = envariance.sample_envariant_unitary
+    monkeypatch.setattr(envariance, "sample_envariant_unitary",
+                        lambda psi, rng: Operator(1.001 * real(psi, rng).entries))
+    failed = _failed_checks(["equiv-laws", "--triples", "5"], capsys)
+    assert failed == {"witness_unitarity_max"}
+
+
+def test_unbleached_joint_fails_recovery(monkeypatch, capsys):
+    rng = np.random.default_rng(4)
+
+    def unbleached(psi):
+        d = psi.dim
+        joint = random_state(d ** 3, rng, (d, d, d))
+        return collapse.BleachResult(joint, partial_trace(joint, keep=[0]))
+
+    monkeypatch.setattr(cli, "bleach", unbleached)
+    failed = _failed_checks(["nohide", "--dim", "3"], capsys)
+    assert "recovery_distance" in failed
+
+
+def test_slightly_rotated_recovery_fails_distance(monkeypatch, capsys):
+    # a 1e-6 rad error gives an infidelity of 1e-12, inside the old 1e-10 bound
+    real = cli.recover
+
+    def rotated(joint):
+        out = real(joint).amplitudes
+        other = np.roll(out.conj(), 1)  # made orthogonal to out below
+        other -= np.vdot(out, other) * out
+        other /= np.linalg.norm(other)
+        return StateVector(math.cos(1e-6) * out + math.sin(1e-6) * other)
+
+    monkeypatch.setattr(cli, "recover", rotated)
+    failed = _failed_checks(["nohide", "--dim", "3"], capsys)
+    assert failed == {"recovery_distance"}
+
+
 def _scaled_dense_shift(scale):
     """controlled_shift_gate as a dense permutation matrix times ``scale``."""
     real = collapse.controlled_shift_gate
@@ -243,7 +300,8 @@ def test_darwinism_single_environment_qubit(extra, capsys):
 
 
 DARWINISM_CHECKS = ["broadcast_gate_unitary", "global_purity", "gram_matches_dense",
-                    "curve_matches_closed_form", "curve_monotone_defect"]
+                    "curve_matches_closed_form", "curve_monotone_defect",
+                    "records_match_angle"]
 # None (perfect records) or log-uniform in [1e-12, pi/2]
 RECORD_ANGLES = st.none() | st.floats(math.log(1e-12), math.log(math.pi / 2)).map(
     lambda exponent: min(math.exp(exponent), math.pi / 2))

@@ -217,7 +217,7 @@ def test_pair_equivalent_pads_ancillas():
     x = random_pair(2, 3, 41)
     spectator = basis_state(4, 2)
     y_joint = tensor(x.joint, spectator)
-    y = JointPairState(y_joint.with_factors((2, 3, 4)), (2, 3, 4))
+    y = JointPairState(StateVector(y_joint.amplitudes, (2, 3, 4)), (2, 3, 4))
     verdict = pair_equivalent(x, y, trials=3, seed=5)
     assert verdict.related
     assert max(w.residual for w in verdict.witnesses) <= 1e-9
@@ -389,15 +389,6 @@ def test_transitivity_rejects_unaccepted_links():
     )
     with pytest.raises(ValueError):
         transitivity_witness(broken, second, w_p)
-
-
-# ---------------------------------------------------------------------------
-# witness hygiene
-# ---------------------------------------------------------------------------
-
-def test_witness_set_rejects_non_unitary_operators():
-    with pytest.raises(ValueError):
-        WitnessSet(u_p=Operator(np.eye(2) * 2), u_n=identity(2))
 
 
 # ---------------------------------------------------------------------------

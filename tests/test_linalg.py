@@ -74,8 +74,8 @@ def test_density_matrix_rejects_bad_trace():
 
 
 def test_operator_unitary_flag():
-    assert Operator(np.eye(3)).is_unitary()
-    assert not Operator(np.eye(3) * 2).is_unitary()
+    assert Operator(np.eye(3)).unitarity_defect() <= 1e-10
+    assert Operator(np.eye(3) * 2).unitarity_defect() > 1e-10
 
 
 # ---------------------------------------------------------------------------
