@@ -181,7 +181,7 @@ def premeasure(system: StateVector, n_env: int,
                           (d_s, d_s), gate, [0, 1]).reshape(d_s, d_s, d_s)
     labels = tuple(
         (k, complex(a)) for k, a in enumerate(system.amplitudes)
-        if abs(a) > 1e-14
+        if abs(a) > DEFAULT_TOL.branch_amplitude
     )
     return BranchingState(
         joint=StateVector(amps, joint.factor_dims),
@@ -437,9 +437,10 @@ def darwinism_curve(state: BranchingState,
     """
     n = state.n_env
     env_total = math.prod(state.joint.factor_dims[1:])
-    if env_total > 2 ** 12:
+    if env_total > DEFAULT_TOL.fragment_env_dim:
         raise BudgetError(
-            f"environment dimension {env_total} exceeds the 2^12 budget"
+            f"environment dimension {env_total} exceeds the budget "
+            f"{DEFAULT_TOL.fragment_env_dim}"
         )
     if samples_per_size < 1:
         raise ValueError("samples_per_size must be positive")
@@ -483,7 +484,7 @@ def redundancy(curve: MutualInformationCurve, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if curve.system_entropy <= 1e-12:
+    if curve.system_entropy <= DEFAULT_TOL.information_floor:
         return 0.0
     threshold = (1.0 - delta) * curve.system_entropy
     for point in curve.points:

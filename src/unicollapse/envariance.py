@@ -19,6 +19,10 @@ equation.  ``symmetry_witness`` inverts a forward witness at a caller-chosen
 unitary; ``transitivity_witness`` assembles the chained witness whose ancilla
 register absorbs the middle pair of a two-link chain.
 
+Every construction is a stacked kernel over arrays of n problems that share
+their dimensions; the scenarios call the kernels on whole stacks, and each
+object-level function here is a call with n = 1.
+
 Note on slot bookkeeping: the chained identity equates two vectors whose
 like-dimensioned registers appear in different positions on the two sides.
 ``transitivity_witness`` therefore validates the identity after the canonical
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +44,12 @@ from .linalg import (
     StateVector,
     basis_state,
     distance,
-    haar_unitary,
+    distances,
+    haar_from_normals,
     identity,
+    normalized,
     schmidt,
+    schmidt_stack,
     tensor,
     transport_unitary,
 )
@@ -192,27 +199,294 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Internal helpers
+# Stacked kernels
+#
+# Each kernel works on a leading axis of n independent problems that share
+# their dimensions (and, where Schmidt blocks matter, their block structure).
+# The scenarios call them on whole stacks; every object-level function below
+# is a call with n = 1.  Kernels return residuals and leakages; they never
+# raise on them.
 # ---------------------------------------------------------------------------
 
-def _apply_two_sided(state: StateVector, d_p: int, d_right: int,
-                     u_p: Operator, u_right: Operator) -> StateVector:
-    """(u_p (x) u_right)|state> without materializing the Kronecker product."""
-    matrix = state.amplitudes.reshape(d_p, d_right)
-    moved = u_p.entries @ matrix @ u_right.entries.T
-    return StateVector(moved.reshape(-1), state.factor_dims)
+class _Pairs(NamedTuple):
+    """Pair states (n, d_p, d_right) with the square Schmidt bases of their cut."""
+
+    amps: np.ndarray
+    coeffs: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def _pairs(amps: np.ndarray) -> _Pairs:
+    return _Pairs(amps, *schmidt_stack(amps, full=True))
+
+
+class _Undo(NamedTuple):
+    """Other-side unitaries u_n and, per problem and Schmidt block, the largest
+    amplitude u_p moves out of the block (``leak``) with the index of the
+    coefficient it moves into (``partner``; -1 when it leaves the support)."""
+
+    u_n: np.ndarray
+    leak: np.ndarray
+    partner: np.ndarray
+
+    @property
+    def leakage(self) -> np.ndarray:
+        return np.max(self.leak, axis=1, initial=0.0)
+
+
+def _dagger(ops: np.ndarray) -> np.ndarray:
+    """Conjugate transposes, laid out as ``Operator.dagger`` lays them out."""
+    return np.ascontiguousarray(np.swapaxes(ops, -1, -2).conj())
+
+
+def _apply(ops: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``Operator.apply`` over a stack: normalized ops @ vectors."""
+    return normalized((ops @ vectors[..., None])[..., 0])
+
+
+def _kron(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker products of stacked vectors (n, d) or operators (n, d, d)."""
+    out = factors[0]
+    for f in factors[1:]:
+        if out.ndim == 2:
+            out = (out[:, :, None] * f[:, None, :]).reshape(len(out), -1)
+        else:
+            d = out.shape[1] * f.shape[1]
+            out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(len(out), d, d)
+    return out
+
+
+def _rotated(amps: np.ndarray, u_p: np.ndarray, u_right: np.ndarray) -> np.ndarray:
+    """The normalized amplitude matrices of (u_p (x) u_right)|amps>."""
+    return normalized(u_p @ amps @ np.swapaxes(u_right, -1, -2)).reshape(amps.shape)
+
+
+def _residuals(u_p: np.ndarray, source: np.ndarray, u_right: np.ndarray,
+               target: np.ndarray) -> np.ndarray:
+    """distance((u_p (x) u_right)|source>, |target>) for each problem."""
+    moved = normalized(u_p @ source @ np.swapaxes(u_right, -1, -2))
+    return distances(moved, target.reshape(len(target), -1))
+
+
+def _rejected(residual: np.ndarray, leakage: np.ndarray) -> np.ndarray:
+    """A witness whose undo leaks beyond the witness bound is rejected: its
+    residual is raised to the leakage."""
+    return np.where(leakage > DEFAULT_TOL.witness, np.maximum(residual, leakage),
+                    residual)
+
+
+def _schmidt_action(basis: np.ndarray, blocks: Sequence[np.ndarray],
+                    actions: Sequence[np.ndarray]) -> np.ndarray:
+    """I + sum_b B_b (A_b - I) B_b^dag for each problem.
+
+    ``basis`` (n, d, k) holds Schmidt vectors as columns, ``blocks`` groups
+    their indices and ``actions`` holds one (n, w, w) unitary per block, in
+    Schmidt coordinates.  Off the blocks' span the result is the identity.
+    """
+    n, d = basis.shape[:2]
+    out = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
+    for block, action in zip(blocks, actions):
+        b = basis[:, :, block]
+        out += b @ (action - np.eye(len(block))) @ np.swapaxes(b.conj(), 1, 2)
+    return out
+
+
+def _synthesize_stack(left: np.ndarray, right: np.ndarray,
+                      phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`synthesize_envariant` for phases (n, r) along the first r
+    Schmidt vectors of each problem."""
+    singles = [np.array([k]) for k in range(phases.shape[1])]
+    u_p = _schmidt_action(left, singles, np.exp(1j * phases).T[:, :, None, None])
+    u_n = _schmidt_action(right, singles, np.exp(-1j * phases).T[:, :, None, None])
+    return u_p, u_n
+
+
+def _draw_envariant(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> list:
+    """The numbers :func:`sample_envariant_unitary` draws, in its order: a phase
+    for each one-dimensional block, the Ginibre parts of a Haar unitary for
+    each wider one."""
+    return [rng.uniform(0.0, 2.0 * math.pi) if len(block) == 1
+            else (rng.standard_normal((len(block),) * 2),
+                  rng.standard_normal((len(block),) * 2))
+            for block in blocks]
+
+
+def _sample_stack(left: np.ndarray, blocks: Sequence[np.ndarray],
+                  draws: Sequence[list]) -> np.ndarray:
+    """Envariant rotations from already-drawn numbers, one
+    :func:`_draw_envariant` list per problem."""
+    actions = []
+    for i, block in enumerate(blocks):
+        if len(block) == 1:
+            actions.append(np.exp(1j * np.array([drawn[i] for drawn in draws]))[:, None, None])
+        else:
+            actions.append(haar_from_normals(np.stack([drawn[i][0] for drawn in draws]),
+                                             np.stack([drawn[i][1] for drawn in draws])))
+    return _schmidt_action(left, blocks, actions)
+
+
+def _undo_stack(sides: tuple[np.ndarray, np.ndarray], blocks: Sequence[np.ndarray],
+                u_p: np.ndarray) -> _Undo:
+    """:func:`undo_on_n` in Schmidt coordinates, reporting leakage instead of
+    raising.  ``sides`` holds the (n, d_p, k) and (n, d_right, k) Schmidt bases."""
+    left, right = sides
+    n, nb = len(u_p), len(blocks)
+    support = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
+    a_support_h = np.swapaxes(left[:, :, support].conj(), 1, 2)
+    leak = np.zeros((n, nb))
+    partner = np.full((n, nb), -1)
+    actions = []
+    offset = 0
+    for i, block in enumerate(blocks):
+        width = len(block)
+        rows = slice(offset, offset + width)
+        offset += width
+        image = u_p @ left[:, :, block]
+        coords = a_support_h @ image
+        leak[:, i] = np.max(np.abs(image - np.swapaxes(a_support_h.conj(), 1, 2) @ coords),
+                            axis=(1, 2))
+        others = np.delete(support, rows)
+        if others.size:
+            outside = np.abs(np.delete(coords, rows, axis=1)).reshape(n, -1)
+            worst = outside.argmax(axis=1)
+            crossing = outside[np.arange(n), worst]
+            partner[:, i] = np.where(crossing > leak[:, i], others[worst // width], -1)
+            leak[:, i] = np.maximum(leak[:, i], crossing)
+        actions.append(coords[:, rows, :].conj())
+    return _Undo(_schmidt_action(right, blocks, actions), leak, partner)
+
+
+class _Verdicts(NamedTuple):
+    """Stacked verdicts: the residuals (n, 1 + trials) of the transport
+    witness and of each trial, undo leakage folded in, and the u_p and u_n of
+    each witness in that order."""
+
+    related: np.ndarray
+    spectra_equal: np.ndarray
+    residuals: np.ndarray
+    operators: list
+
+
+def _verdict_stack(s: _Pairs, t: _Pairs, rotations: Sequence[np.ndarray],
+                   undos: Sequence[_Undo]) -> _Verdicts:
+    """:func:`pair_equivalent` of s and t at s's sampled rotations and their undos."""
+    spectra_equal = np.max(np.abs(s.coeffs - t.coeffs), axis=1) <= DEFAULT_TOL.spectrum
+    map_p = s.left @ np.swapaxes(t.left.conj(), 1, 2)
+    map_r = s.right @ np.swapaxes(t.right.conj(), 1, 2)
+    residuals = [_residuals(map_p, t.amps, map_r, s.amps)]
+    operators = [map_p, map_r]
+    for rotation, undo in zip(rotations, undos):
+        w_p = rotation @ map_p
+        w_n = undo.u_n @ map_r
+        residuals.append(_rejected(_residuals(w_p, t.amps, w_n, s.amps), undo.leakage))
+        operators += [w_p, w_n]
+    residuals = np.stack(residuals, axis=1)
+    related = spectra_equal & np.all(residuals <= DEFAULT_TOL.witness, axis=1)
+    return _Verdicts(related, spectra_equal, residuals, operators)
+
+
+def _reverse_stack(x_amps: np.ndarray, y_amps: np.ndarray,
+                   y_sides: tuple[np.ndarray, np.ndarray], y_blocks: Sequence[np.ndarray],
+                   forward_p: np.ndarray, forward_n: np.ndarray, v_p: np.ndarray):
+    """:func:`symmetry_witness` at v_p: (v_n, residual, undo)."""
+    undo = _undo_stack(y_sides, y_blocks, _dagger(forward_p) @ _dagger(v_p))
+    v_n = _dagger(forward_n @ undo.u_n)
+    return v_n, _residuals(v_p, x_amps, v_n, y_amps), undo
+
+
+def _link_stack(a, b, c, d, ancilla):
+    """:func:`link_product_pairs` of (a, b) and (c, d): (u_p, u_n, residual)."""
+    u_p = transport_unitary(c, a)
+    u_n = transport_unitary(b, d)
+    lhs = normalized(_kron(a, d, ancilla))
+    rhs = normalized(_kron(_apply(u_p, c), _apply(u_n, b), normalized(ancilla)))
+    return u_p, u_n, distances(lhs, rhs)
+
+
+def _link_undo_stack(left_pos, right_pos, left_neg, right_neg, u_p):
+    """:func:`link_undo`: (u_n, leakage), the leakage 1 - |<left_pos|u_p right_pos>|."""
+    overlap = np.vecdot(left_pos, (u_p @ right_pos[..., None])[..., 0])
+    u_n = overlap.conj()[:, None, None] * transport_unitary(left_neg, right_neg)
+    return u_n, 1.0 - np.abs(overlap)
+
+
+def _chain_stack(a, b, c, d, e, f, xi, eta, u_xi, v_eta, w_p):
+    """:func:`transitivity_witness` for the links (a, b) ~ (c, d) ~ (e, f)
+    with ancillas xi and eta: (w_n, w_chi, chi, residual, leakage)."""
+    w_n, leak_first = _link_undo_stack(a, c, b, d, w_p)
+    v_n, leak_second = _link_undo_stack(c, e, d, f, w_p)
+    chi = normalized(_kron(d, c, xi, eta))
+    w_chi = _kron(v_n, w_p, u_xi, v_eta)
+    lhs = normalized(_kron(a, f, chi))
+    rhs = normalized(_kron(_apply(w_p, e), _apply(w_n, b), _apply(w_chi, chi)))
+    # the pair register and the matching chi slots trade places between the
+    # two sides; undo that fixed relabeling before comparing
+    d_p, d_n = a.shape[1], b.shape[1]
+    aligned = rhs.reshape(len(a), d_p, d_n, d_n, d_p, -1).transpose(0, 4, 3, 2, 1, 5)
+    residual = distances(lhs, normalized(aligned))
+    return w_n, w_chi, chi, residual, np.maximum(leak_first, leak_second)
+
+
+def _chain_shapes(d_p: int, d_n: int) -> list[tuple[int, ...]]:
+    """The shapes of :func:`sample_chain`'s Gaussian draws, in its order: the
+    parts of a Haar w_p, then of e, b, d and f."""
+    return [(d_p, d_p)] * 2 + [(d_p,)] * 2 + [(d_n,)] * 6
+
+
+def _draw_chain(d_p: int, d_n: int, seed: int) -> np.ndarray:
+    """:func:`sample_chain`'s draws as one flat array: a generator's normals
+    come out the same whether drawn in pieces or at once."""
+    size = sum(math.prod(shape) for shape in _chain_shapes(d_p, d_n))
+    return np.random.default_rng(seed).standard_normal(size)
+
+
+def _split(draws: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive pieces of stacked flat draws (n, L), reshaped to ``shapes``."""
+    pieces, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        pieces.append(draws[:, start:start + size].reshape(len(draws), *shape))
+        start += size
+    return pieces
+
+
+def _chain_states(draws: np.ndarray, d_p: int, d_n: int):
+    """:func:`sample_chain`'s unitary and states from stacked
+    :func:`_draw_chain` draws: (w_p, a, b, c, d, e, f)."""
+    parts = _split(draws, _chain_shapes(d_p, d_n))
+    w_p = haar_from_normals(parts[0], parts[1])
+    e, b, d, f = (normalized(parts[i] + 1j * parts[i + 1]) for i in (2, 4, 6, 8))
+    c = _apply(w_p, e)
+    return w_p, _apply(w_p, c), b, c, d, e, f
 
 
 def _support_blocks(coeffs: np.ndarray) -> list[np.ndarray]:
     """Group the indices of nonzero coefficients into degenerate blocks."""
-    support = np.flatnonzero(coeffs > DEFAULT_TOL.rank_cutoff)
     blocks: list[list[int]] = []
-    for idx in support:
-        if blocks and abs(coeffs[idx] - coeffs[blocks[-1][-1]]) <= DEFAULT_TOL.spectrum:
-            blocks[-1].append(int(idx))
+    values = coeffs.tolist()  # Python floats: the same comparisons, less overhead
+    for idx, value in enumerate(values):
+        if value <= DEFAULT_TOL.rank_cutoff:
+            continue
+        if blocks and abs(value - values[blocks[-1][-1]]) <= DEFAULT_TOL.spectrum:
+            blocks[-1].append(idx)
         else:
-            blocks.append([int(idx)])
+            blocks.append([idx])
     return [np.asarray(b) for b in blocks]
+
+
+def _raise_if_leaking(coeffs: np.ndarray, blocks: Sequence[np.ndarray], undo: _Undo) -> None:
+    """NotEnvariantError for the first block a batch-of-one undo lets leak."""
+    for i, block in enumerate(blocks):
+        if undo.leak[0, i] > DEFAULT_TOL.witness:
+            other = undo.partner[0, i]
+            raise NotEnvariantError(
+                "unitary mixes distinct Schmidt coefficients" if other >= 0
+                else "unitary moves a Schmidt vector off the support",
+                mixed_coefficients=(float(coeffs[block[0]]),
+                                    float(coeffs[other]) if other >= 0 else 0.0),
+                leakage=float(undo.leak[0, i]),
+            )
 
 
 def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, JointPairState]:
@@ -222,6 +496,17 @@ def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, Joi
         )
     target = max(x.ancilla_dim, y.ancilla_dim)
     return x.padded(target), y.padded(target)
+
+
+def _one(psi: JointPairState) -> np.ndarray:
+    """``psi``'s amplitude matrix as a stack of one."""
+    return psi.joint.amplitudes.reshape(1, psi.pos_dim, psi.right_dim)
+
+
+def _sides(psi: JointPairState) -> tuple[np.ndarray, np.ndarray]:
+    """``psi``'s cached Schmidt bases as stacks of one."""
+    _, left, right = psi.schmidt_sides()
+    return left[None], right[None]
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +522,14 @@ def synthesize_envariant(psi: JointPairState,
     opposite phases along the b_k.  Their joint action leaves ``psi``
     unchanged.
     """
-    coeffs, left, right = psi.schmidt_sides()
+    coeffs = psi.spectrum()
     rank = int(np.sum(coeffs > DEFAULT_TOL.rank_cutoff))
     if len(phases) != rank:
         raise RankMismatchError(
             f"{len(phases)} phases given but the Schmidt rank is {rank}"
         )
-    u_p = np.eye(psi.pos_dim, dtype=complex)
-    u_n = np.eye(psi.right_dim, dtype=complex)
-    for k, phi in enumerate(phases):
-        a_k = left[:, k]
-        b_k = right[:, k]
-        u_p += (np.exp(1j * phi) - 1.0) * np.outer(a_k, a_k.conj())
-        u_n += (np.exp(-1j * phi) - 1.0) * np.outer(b_k, b_k.conj())
-    return Operator(u_p), Operator(u_n)
+    u_p, u_n = _synthesize_stack(*_sides(psi), np.asarray(phases, dtype=float)[None])
+    return Operator(u_p[0]), Operator(u_n[0])
 
 
 def undo_on_n(psi: JointPairState, u_p: Operator) -> WitnessSet:
@@ -266,41 +545,12 @@ def undo_on_n(psi: JointPairState, u_p: Operator) -> WitnessSet:
         raise DimensionMismatchError(
             f"u_p dim {u_p.dim} does not match positive factor {psi.pos_dim}"
         )
-    coeffs, left, right = psi.schmidt_sides()
+    coeffs = psi.spectrum()
     blocks = _support_blocks(coeffs)
-    support = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
-    a_support_h = left[:, support].conj().T
-    u_n = np.eye(psi.right_dim, dtype=complex)
-    offset = 0
-    for block in blocks:
-        width = len(block)
-        rows = slice(offset, offset + width)
-        offset += width
-        image = u_p.entries @ left[:, block]
-        coords = a_support_h @ image
-        off_support = float(np.max(np.abs(image - a_support_h.conj().T @ coords)))
-        if off_support > DEFAULT_TOL.witness:
-            raise NotEnvariantError(
-                "unitary moves a Schmidt vector off the support",
-                mixed_coefficients=(float(coeffs[block[0]]), 0.0),
-                leakage=off_support,
-            )
-        outside = np.abs(np.delete(coords, rows, axis=0))
-        if outside.size and float(outside.max()) > DEFAULT_TOL.witness:
-            worst = np.unravel_index(int(outside.argmax()), outside.shape)[0]
-            other = int(np.delete(support, rows)[worst])
-            raise NotEnvariantError(
-                "unitary mixes distinct Schmidt coefficients",
-                mixed_coefficients=(float(coeffs[block[0]]), float(coeffs[other])),
-                leakage=float(outside.max()),
-            )
-        action = coords[rows, :]
-        b_block = right[:, block]
-        u_n += b_block @ (action.conj() - np.eye(width)) @ b_block.conj().T
-    undo = Operator(u_n)
-    restored = _apply_two_sided(psi.joint, psi.pos_dim, psi.right_dim, u_p, undo)
-    return WitnessSet(u_p=u_p, u_n=undo,
-                      residual=distance(restored, psi.joint))
+    undo = _undo_stack(_sides(psi), blocks, u_p.entries[None])
+    _raise_if_leaking(coeffs, blocks, undo)
+    residual = _residuals(u_p.entries[None], _one(psi), undo.u_n, _one(psi))
+    return WitnessSet(u_p=u_p, u_n=Operator(undo.u_n[0]), residual=float(residual[0]))
 
 
 def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator) -> Operator:
@@ -309,17 +559,9 @@ def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator) -> O
     Independent Haar blocks inside each degenerate Schmidt block (a random
     phase when the block is one-dimensional) and identity off the support.
     """
-    coeffs, left, _ = psi.schmidt_sides()
-    blocks = _support_blocks(coeffs)
-    u_p = np.eye(psi.pos_dim, dtype=complex)
-    for block in blocks:
-        a_block = left[:, block]
-        if len(block) == 1:
-            rotation = np.array([[np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))]])
-        else:
-            rotation = haar_unitary(len(block), rng).entries
-        u_p += a_block @ (rotation - np.eye(len(block))) @ a_block.conj().T
-    return Operator(u_p)
+    blocks = _support_blocks(psi.spectrum())
+    left, _ = _sides(psi)
+    return Operator(_sample_stack(left, blocks, [_draw_envariant(blocks, rng)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +580,10 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     (:func:`sample_envariant_unitary`, seeded by ``(seed, trial)``) and
     composed with it, each validated against its defining equation.  The
     transport maps come from the square Schmidt bases (``schmidt(...,
-    full=True)``), so they are unitaries on the whole of each side.  An
-    envariant rotation always admits an undo; should :func:`undo_on_n` still
-    reject one, its :class:`NotEnvariantError` propagates.
+    full=True)``), so they are unitaries on the whole of each side.  A trial
+    whose undo leaks amplitude across Schmidt blocks beyond the witness bound
+    is a rejected witness: its residual is raised to the leakage, and the
+    verdict is not related.
     """
     xp, yp = _pad_pair(x, y)
     sx = xp.spectrum()
@@ -349,25 +592,17 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     if not spectra_equal:
         return EquivalenceVerdict(False, sx, sy, (), trials)
 
-    cut = (xp.pos_dim, xp.right_dim)
-    _, left_x, right_x = schmidt(xp.joint, cut, full=True)
-    _, left_y, right_y = schmidt(yp.joint, cut, full=True)
-    map_p = Operator(left_x @ left_y.conj().T)
-    map_r = Operator(right_x @ right_y.conj().T)
-    mapped = _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, map_p, map_r)
-    witnesses = [WitnessSet(u_p=map_p, u_n=map_r,
-                            residual=distance(mapped, xp.joint))]
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        rotation = sample_envariant_unitary(xp, rng)
-        undo = undo_on_n(xp, rotation)
-        w_p = rotation @ map_p
-        w_n = undo.u_n @ map_r
-        moved = _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, w_p, w_n)
-        witnesses.append(WitnessSet(u_p=w_p, u_n=w_n,
-                                    residual=distance(moved, xp.joint)))
-    related = all(w.accepted() for w in witnesses)
-    return EquivalenceVerdict(related, sx, sy, tuple(witnesses), trials)
+    blocks = _support_blocks(sx)
+    left, _ = sides = _sides(xp)
+    rotations = [_sample_stack(left, blocks, [_draw_envariant(
+        blocks, np.random.default_rng((seed, trial)))]) for trial in range(trials)]
+    undos = [_undo_stack(sides, blocks, rotation) for rotation in rotations]
+    verdict = _verdict_stack(_pairs(_one(xp)), _pairs(_one(yp)), rotations, undos)
+    ops = verdict.operators
+    witnesses = tuple(WitnessSet(u_p=Operator(ops[2 * i][0]), u_n=Operator(ops[2 * i + 1][0]),
+                                 residual=float(verdict.residuals[0, i]))
+                      for i in range(trials + 1))
+    return EquivalenceVerdict(bool(verdict.related[0]), sx, sy, witnesses, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +620,18 @@ def symmetry_witness(x: JointPairState, y: JointPairState, forward: WitnessSet,
     ``v_p`` falls outside the coset of unitaries the relation supports.
     """
     xp, yp = _pad_pair(x, y)
-    residual_fwd = distance(
-        _apply_two_sided(yp.joint, xp.pos_dim, xp.right_dim, forward.u_p, forward.u_n),
-        xp.joint,
-    )
+    forward_p, forward_n = forward.u_p.entries[None], forward.u_n.entries[None]
+    residual_fwd = _residuals(forward_p, _one(yp), forward_n, _one(xp))[0]
     if residual_fwd > DEFAULT_TOL.witness:
         raise ValueError(
             f"forward witness does not hold (residual {residual_fwd:.3e})"
         )
-    requested = v_p.dagger
-    env_part = forward.u_p.dagger @ requested
-    env_undo = undo_on_n(yp, env_part)
-    u_n = forward.u_n @ env_undo.u_n
-    v_n = u_n.dagger
-    reversed_state = _apply_two_sided(xp.joint, xp.pos_dim, xp.right_dim, v_p, v_n)
-    return WitnessSet(u_p=v_p, u_n=v_n,
-                      residual=distance(reversed_state, yp.joint))
+    coeffs = yp.spectrum()
+    blocks = _support_blocks(coeffs)
+    v_n, residual, undo = _reverse_stack(_one(xp), _one(yp), _sides(yp), blocks,
+                                         forward_p, forward_n, v_p.entries[None])
+    _raise_if_leaking(coeffs, blocks, undo)
+    return WitnessSet(u_p=v_p, u_n=Operator(v_n[0]), residual=float(residual[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +677,20 @@ def link_product_pairs(left: tuple[StateVector, StateVector],
         )
     if ancilla is None:
         ancilla = basis_state(1, 0)
-    u_p = Operator(transport_unitary(c.amplitudes, a.amplitudes))
-    u_n = Operator(transport_unitary(b.amplitudes, d.amplitudes))
+    u_p, u_n, residual = _link_stack(*(v.amplitudes[None] for v in (a, b, c, d, ancilla)))
     u_anc = identity(ancilla.dim)
-    lhs = tensor(a, d, ancilla)
-    rhs = tensor(u_p.apply(c), u_n.apply(b), u_anc.apply(ancilla))
-    witness = WitnessSet(u_p=u_p, u_n=u_n, u_ancilla=u_anc, ancilla=ancilla,
-                         residual=distance(lhs, rhs))
+    witness = WitnessSet(u_p=Operator(u_p[0]), u_n=Operator(u_n[0]), u_ancilla=u_anc,
+                         ancilla=ancilla, residual=float(residual[0]))
     return PairLink(left_pos=a, left_neg=b, right_pos=c, right_neg=d,
                     ancilla=ancilla, ancilla_unitary=u_anc, witness=witness)
+
+
+def _not_transported(leakage: float) -> NotEnvariantError:
+    return NotEnvariantError(
+        "unitary does not transport the link's positive slot",
+        mixed_coefficients=(1.0, 1.0 - leakage),
+        leakage=leakage,
+    )
 
 
 def link_undo(link: PairLink, u_p: Operator) -> Operator:
@@ -464,17 +700,13 @@ def link_undo(link: PairLink, u_p: Operator) -> Operator:
     the returned unitary carries the compensating phase and maps left_neg to
     right_neg.
     """
-    overlap = complex(np.vdot(link.left_pos.amplitudes,
-                              u_p.entries @ link.right_pos.amplitudes))
-    if 1.0 - abs(overlap) > DEFAULT_TOL.witness:
-        raise NotEnvariantError(
-            "unitary does not transport the link's positive slot",
-            mixed_coefficients=(1.0, float(abs(overlap))),
-            leakage=float(1.0 - abs(overlap)),
-        )
-    transport = transport_unitary(link.left_neg.amplitudes,
-                                  link.right_neg.amplitudes)
-    return Operator(overlap.conjugate() * transport)
+    u_n, leakage = _link_undo_stack(
+        *(v.amplitudes[None] for v in (link.left_pos, link.right_pos,
+                                       link.left_neg, link.right_neg)),
+        u_p.entries[None])
+    if leakage[0] > DEFAULT_TOL.witness:
+        raise _not_transported(float(leakage[0]))
+    return Operator(u_n[0])
 
 
 def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> WitnessSet:
@@ -495,21 +727,18 @@ def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> Wi
         raise DimensionMismatchError(
             "links do not share their middle pair; cannot chain"
         )
-    w_n = link_undo(first, w_p)
-    v_n = link_undo(second, w_p)
-    u_xi = first.ancilla_unitary
-    v_eta = second.ancilla_unitary
-    chi = tensor(first.right_neg, first.right_pos, first.ancilla, second.ancilla)
-    w_chi = tensor(v_n, w_p, u_xi, v_eta)
-    lhs = tensor(first.left_pos, second.right_neg, chi)
-    rhs = tensor(w_p.apply(second.right_pos), w_n.apply(first.left_neg),
-                 w_chi.apply(chi))
-    # the pair register and the matching chi slots trade places between the
-    # two sides; undo that fixed relabeling before comparing
-    rhs_aligned = rhs.reordered([3, 2, 1, 0, 4, 5])
-    residual = distance(lhs, rhs_aligned)
-    return WitnessSet(u_p=w_p, u_n=w_n, u_ancilla=w_chi, ancilla=chi,
-                      residual=residual)
+    states = (first.left_pos, first.left_neg, first.right_pos, first.right_neg,
+              second.right_pos, second.right_neg, first.ancilla, second.ancilla)
+    w_n, w_chi, chi, residual, leakage = _chain_stack(
+        *(v.amplitudes[None] for v in states),
+        first.ancilla_unitary.entries[None], second.ancilla_unitary.entries[None],
+        w_p.entries[None])
+    if leakage[0] > DEFAULT_TOL.witness:
+        raise _not_transported(float(leakage[0]))
+    chi_dims = sum((v.factor_dims for v in (first.right_neg, first.right_pos,
+                                            first.ancilla, second.ancilla)), ())
+    return WitnessSet(u_p=w_p, u_n=Operator(w_n[0]), u_ancilla=Operator(w_chi[0]),
+                      ancilla=StateVector(chi[0], chi_dims), residual=float(residual[0]))
 
 
 def sample_chain(d_p: int, d_n: int, seed: int) -> tuple[PairLink, PairLink, Operator]:
@@ -519,18 +748,11 @@ def sample_chain(d_p: int, d_n: int, seed: int) -> tuple[PairLink, PairLink, Ope
     the w_p-preimage of its left_pos -- so the sampled w_p lies in both links'
     admissible cosets by construction.
     """
-    rng = np.random.default_rng(seed)
-    w_p = haar_unitary(d_p, rng)
-    e = StateVector(rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p))
-    c = w_p.apply(e)
-    a = w_p.apply(c)
-    b, d, f = (
-        StateVector(rng.standard_normal(d_n) + 1j * rng.standard_normal(d_n))
-        for _ in range(3)
-    )
+    w_p, *states = (v[0] for v in _chain_states(_draw_chain(d_p, d_n, seed)[None], d_p, d_n))
+    a, b, c, d, e, f = (StateVector(v) for v in states)
     first = link_product_pairs((a, b), (c, d))
     second = link_product_pairs((c, d), (e, f))
-    return first, second, w_p
+    return first, second, Operator(w_p)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class StateVector:
                 f"factor_dims {dims} do not multiply to amplitude count {amps.size}"
             )
         nrm = float(np.linalg.norm(amps))
-        if nrm < 1e-8:
+        if nrm < DEFAULT_TOL.normalizable:
             raise ValueError("cannot normalize a (near-)zero amplitude vector")
         amps /= nrm
         amps.setflags(write=False)
@@ -111,8 +111,7 @@ class Operator:
 
     def unitarity_defect(self) -> float:
         """max-norm of U^dag U - I."""
-        d = self.dim
-        return float(np.max(np.abs(self.entries.conj().T @ self.entries - np.eye(d))))
+        return float(unitarity_defects(self.entries))
 
     def apply(self, state: StateVector) -> StateVector:
         if self.dim != state.dim:
@@ -216,9 +215,13 @@ def schmidt(psi: StateVector, cut: tuple[int, int], full: bool = False):
         raise DimensionMismatchError(
             f"cut {cut} does not multiply to state dimension {psi.dim}"
         )
-    matrix = psi.amplitudes.reshape(dl, dr)
-    left, coeffs, right_h = np.linalg.svd(matrix, full_matrices=full)
-    return coeffs, left, right_h.T
+    return schmidt_stack(psi.amplitudes.reshape(dl, dr), full)
+
+
+def schmidt_stack(matrices: np.ndarray, full: bool = False):
+    """:func:`schmidt` of amplitude matrices (..., dl, dr), one SVD call for all."""
+    left, coeffs, right_h = np.linalg.svd(matrices, full_matrices=full)
+    return coeffs, left, np.swapaxes(right_h, -1, -2)
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -254,19 +257,27 @@ def entropy(rho: DensityMatrix) -> float:
 def haar_unitary(dim: int, seed: SeedLike) -> Operator:
     """Haar-distributed random unitary.
 
-    QR decomposition of a complex Ginibre matrix with the R diagonal phases
-    folded back into Q, which makes the distribution exactly Haar.
-    Deterministic for a fixed integer seed.
+    Deterministic for a fixed integer seed; :func:`haar_from_normals` turns
+    the two Gaussian draws into the unitary.
     """
     if dim < 1:
         raise DimensionMismatchError("dim must be >= 1")
     rng = _as_rng(seed)
-    ginibre = (rng.standard_normal((dim, dim))
-               + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    return Operator(haar_from_normals(rng.standard_normal((dim, dim)),
+                                      rng.standard_normal((dim, dim))))
+
+
+def haar_from_normals(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary parts of Ginibre matrices.
+
+    QR decomposition of each (..., d, d) complex Ginibre matrix with the R
+    diagonal phases folded back into Q, which makes the distribution exactly
+    Haar.  Stacked inputs give stacked unitaries.
+    """
+    ginibre = (real + 1j * imag) / math.sqrt(2)
     q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return Operator(q)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_state(dim: int, seed: SeedLike,
@@ -302,11 +313,7 @@ def distance(a, b) -> float:
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         if a.dim != b.dim:
             raise DimensionMismatchError(f"state dims differ: {a.dim} vs {b.dim}")
-        ov = np.vdot(a.amplitudes, b.amplitudes)
-        # evaluate the minimizing phase directly: equal to sqrt(2 - 2|<a|b>|)
-        # but without the cancellation that formula suffers near |<a|b>| = 1
-        phase = ov.conjugate() / abs(ov) if abs(ov) > 1e-300 else 1.0
-        return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
+        return float(distances(a.amplitudes[None], b.amplitudes[None])[0])
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         if a.dim != b.dim:
             raise DimensionMismatchError(f"density dims differ: {a.dim} vs {b.dim}")
@@ -321,6 +328,48 @@ def distance(a, b) -> float:
     )
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as ``abs`` takes it of one complex number; ``np.abs`` on an array
+    can differ from that in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``amps`` (n, D), as ``np.linalg.norm`` takes it."""
+    return np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+
+
+def normalized(amps: np.ndarray) -> np.ndarray:
+    """Each item of the stack ``amps`` (n, ...) flattened and scaled to unit norm,
+    as :class:`StateVector` normalizes its amplitudes.  An item too short to
+    normalize comes back as the zero vector, at distance 1 from every state."""
+    flat = amps.reshape(len(amps), -1)
+    size = _norms(flat)[:, None]
+    return np.divide(flat, size, out=np.zeros_like(flat),
+                     where=size >= DEFAULT_TOL.normalizable)
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The state :func:`distance` between corresponding rows of a and b (n, D).
+
+    min_phi ||a - e^{i phi} b||, i.e. sqrt(2 - 2|<a|b>|), evaluated at the
+    minimizing phase so that nearly-identical states do not lose precision
+    to the cancellation that formula suffers near |<a|b>| = 1.
+    """
+    overlap = np.vecdot(a, b)
+    size = _modulus(overlap)
+    phase = np.divide(overlap.conj(), size, out=np.ones_like(overlap),
+                      where=size > 1e-300)
+    return _norms(a - phase[:, None] * b)
+
+
+def unitarity_defects(ops: np.ndarray) -> np.ndarray:
+    """max-norm of U^dag U - I for each operator of the stack (..., d, d)."""
+    # one expression, so numpy reuses the product's buffer for the difference
+    return np.max(np.abs(np.swapaxes(ops.conj(), -1, -2) @ ops - np.eye(ops.shape[-1])),
+                  axis=(-2, -1))
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for pure states."""
     if a.dim != b.dim:
@@ -329,21 +378,28 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def unitary_with_first_column(v: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column equals ``v`` (unit vector)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = v.size
-    stacked = np.column_stack([v, np.eye(d, dtype=complex)])
-    q, r = np.linalg.qr(stacked)
+    """Deterministic unitary whose first column equals ``v`` (unit vector).
+
+    ``v`` may be a stack (..., d) of vectors; the result is then (..., d, d).
+    """
+    v = np.asarray(v, dtype=complex)
+    d = v.shape[-1]
+    eye = np.broadcast_to(np.eye(d, dtype=complex), v.shape[:-1] + (d, d))
+    q, r = np.linalg.qr(np.concatenate([v[..., None], eye], axis=-1))
     # v = q[:, 0] * r[0, 0], so folding the pivot phase back makes column 0 = v
-    q[:, 0] = q[:, 0] * (r[0, 0] / abs(r[0, 0]))
+    pivot = r[..., 0, 0]
+    q[..., 0] = q[..., 0] * (pivot / _modulus(pivot))[..., None]
     return q
 
 
 def transport_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Deterministic unitary mapping the unit vector ``source`` to ``target``."""
+    """Deterministic unitary mapping the unit vector ``source`` to ``target``.
+
+    Stacks of vectors (..., d) give stacks of unitaries (..., d, d).
+    """
     qs = unitary_with_first_column(source)
     qt = unitary_with_first_column(target)
-    return qt @ qs.conj().T
+    return qt @ np.swapaxes(qs.conj(), -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ class Tolerances:
     entropy_floor: float = 1e-14   # eigenvalues at or below this contribute no entropy
     born_amplitude: float = 1e-12  # flatness bound on fine-grained amplitudes
     bleach: float = 1e-10          # trace-distance bound for bleached outputs
+    normalizable: float = 1e-8     # norms below this cannot be normalized
+    branch_amplitude: float = 1e-14  # amplitudes at or below this label no branch
+    information_floor: float = 1e-12  # system entropy (bits) at or below this: no redundancy
+    curve: float = 1e-9            # darwinism curve against its closed form and monotonicity
+    fragment_env_dim: int = 2 ** 12  # largest environment dimension darwinism_curve accepts
 
 
 DEFAULT_TOL = Tolerances()

@@ -21,7 +21,13 @@ from unicollapse.cli import (
     run,
 )
 from unicollapse.grothendieck import GroupElement, MonoidPair
-from unicollapse.linalg import Operator, StateVector, partial_trace, random_state
+from unicollapse.linalg import (
+    StateVector,
+    distance,
+    haar_unitary,
+    partial_trace,
+    random_state,
+)
 
 
 def strip_timing(report_text: str) -> dict:
@@ -89,6 +95,93 @@ def test_same_seed_gives_byte_identical_outputs(tmp_path, capsys):
     assert strip_timing(first_report.decode()) == strip_timing(second_report.decode())
 
 
+def per_object_chain(d_p: int, d_n: int, seed: int):
+    """``envariance.sample_chain`` built one object at a time, as it was
+    before the stacked kernels: each state normalized once."""
+    rng = np.random.default_rng(seed)
+    w_p = haar_unitary(d_p, rng)
+    e = StateVector(rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p))
+    c = w_p.apply(e)
+    a = w_p.apply(c)
+    b, d, f = (StateVector(rng.standard_normal(d_n) + 1j * rng.standard_normal(d_n))
+               for _ in range(3))
+    return (envariance.link_product_pairs((a, b), (c, d)),
+            envariance.link_product_pairs((c, d), (e, f)), w_p)
+
+
+def per_object_equiv_laws(triples: int, seed: int) -> dict:
+    """equiv-laws triple by triple through the object API: the loop the
+    stacked passes replaced, kept as their reference.  The symmetry rotation
+    is drawn before the law check, as the stacked draw pass draws it.
+    Returns each check's residual."""
+    rng = np.random.default_rng(seed)
+    out = dict.fromkeys(["reflexivity_failures", "verdict_law_failures",
+                         "symmetry_residual_max", "transitivity_residual_max",
+                         "witness_unitarity_max"], 0.0)
+    for index in range(triples):
+        d_p = int(rng.choice([2, 3]))
+        d_n = int(rng.choice([2, 3]))
+        x = envariance.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)), (d_p, d_n))
+
+        def rotate(source):
+            u, v = haar_unitary(d_p, rng), haar_unitary(d_n, rng)
+            moved = u.entries @ source.joint.amplitudes.reshape(d_p, d_n) @ v.entries.T
+            return envariance.JointPairState(StateVector(moved.reshape(-1)), (d_p, d_n))
+
+        y = rotate(x)
+        z = rotate(y)
+        xx, xy, yz, xz, yx = verdicts = [
+            envariance.pair_equivalent(s, t, trials=1 if s is t else 2, seed=seed + index)
+            for s, t in ((x, x), (x, y), (y, z), (x, z), (y, x))]
+        witnesses = [w for v in verdicts for w in v.witnesses]
+        rotation = envariance.sample_envariant_unitary(y, rng)
+        out["reflexivity_failures"] += not xx.related
+        if xy.related and yx.related and yz.related and xz.related:
+            forward = xy.witnesses[0]
+            reverse = envariance.symmetry_witness(x, y, forward, (forward.u_p @ rotation).dagger)
+            first, second, w_p = per_object_chain(d_p, d_n, seed + 77_000 + index)
+            chained = envariance.transitivity_witness(first, second, w_p)
+            out["symmetry_residual_max"] = max(out["symmetry_residual_max"], reverse.residual)
+            out["transitivity_residual_max"] = max(out["transitivity_residual_max"],
+                                                   chained.residual)
+            witnesses += [reverse, first.witness, second.witness, chained]
+        else:
+            out["verdict_law_failures"] += 1
+        out["witness_unitarity_max"] = max(
+            [out["witness_unitarity_max"]] + [op.unitarity_defect() for w in witnesses
+                                              for op in (w.u_p, w.u_n, w.u_ancilla)
+                                              if op is not None])
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 33_003])
+def test_stacked_equiv_laws_match_the_per_object_loop(seed):
+    # the stacked passes do each triple's arithmetic in the loop's order, one
+    # matrix at a time inside each numpy call, so the results are equal
+    report, code = run(ScenarioConfig(scenario="equiv-laws", triples=24, seed=seed))
+    assert code == 0
+    reference = per_object_equiv_laws(24, seed)
+    assert {c["name"]: c["residual"] for c in report["checks"]} == reference
+    assert all(c["residual"] > 0 for c in report["checks"] if c["name"].endswith("_max"))
+
+
+def test_stacked_restoration_matches_the_per_object_loop():
+    rng = np.random.default_rng(20_206)
+    worst = 0.0
+    for _ in range(200):
+        d_p, d_n = (int(rng.choice([2, 3, 4, 6])) for _ in range(2))
+        pair = envariance.JointPairState(random_state(d_p * d_n, rng, (d_p, d_n)), (d_p, d_n))
+        rank = int(np.sum(pair.spectrum() > 1e-12))
+        u_p, u_n = envariance.synthesize_envariant(
+            pair, rng.uniform(0.0, 2.0 * math.pi, size=rank))
+        moved = u_p.entries @ pair.joint.amplitudes.reshape(d_p, d_n) @ u_n.entries.T
+        worst = max(worst, distance(StateVector(moved.reshape(-1)), pair.joint))
+    report, code = run(ScenarioConfig(scenario="envariance-restore", trials=200,
+                                      seed=20_206))
+    assert code == 0
+    assert 0 < report["checks"][0]["residual"] == worst
+
+
 def test_records_that_miss_the_joint_fail_gram_check(monkeypatch, capsys):
     real = cli.premeasure
 
@@ -114,13 +207,13 @@ def _failed_checks(argv, capsys) -> set:
 
 
 def test_adjoint_undo_fails_restoration(monkeypatch, capsys):
-    real = envariance.synthesize_envariant
+    real = envariance._synthesize_stack
 
-    def adjoint_undo(psi, phases):
-        u_p, u_n = real(psi, phases)
-        return u_p, u_n.dagger
+    def adjoint_undo(left, right, phases):
+        u_p, u_n = real(left, right, phases)
+        return u_p, np.swapaxes(u_n, 1, 2).conj()
 
-    monkeypatch.setattr(envariance, "synthesize_envariant", adjoint_undo)
+    monkeypatch.setattr(envariance, "_synthesize_stack", adjoint_undo)
     failed = _failed_checks(["envariance-restore", "--trials", "5"], capsys)
     assert failed == {"restoration_residual_max"}
 
@@ -175,11 +268,28 @@ def test_scaled_fourier_fails_bleach_unitarity_beyond_dense_limit(monkeypatch, c
 
 
 def test_scaled_envariant_rotation_fails_witness_unitarity(monkeypatch, capsys):
-    real = envariance.sample_envariant_unitary
-    monkeypatch.setattr(envariance, "sample_envariant_unitary",
-                        lambda psi, rng: Operator(1.001 * real(psi, rng).entries))
+    real = envariance._sample_stack
+    monkeypatch.setattr(envariance, "_sample_stack",
+                        lambda left, blocks, draws: 1.001 * real(left, blocks, draws))
     failed = _failed_checks(["equiv-laws", "--triples", "5"], capsys)
     assert failed == {"witness_unitarity_max"}
+
+
+def test_envariant_rotation_leaving_its_subgroup_fails_laws(monkeypatch, capsys):
+    # entry [0, 0] x 1.001 mixes Schmidt blocks: every trial's undo leaks, so
+    # every verdict is unrelated, no triple reaches the symmetry and
+    # transitivity witnesses, and the rotations are not unitary
+    real = envariance._sample_stack
+
+    def skewed(left, blocks, draws):
+        rotation = real(left, blocks, draws)
+        rotation[:, 0, 0] *= 1.001
+        return rotation
+
+    monkeypatch.setattr(envariance, "_sample_stack", skewed)
+    failed = _failed_checks(["equiv-laws", "--triples", "5"], capsys)
+    assert failed == {"reflexivity_failures", "verdict_law_failures",
+                      "witness_unitarity_max"}
 
 
 def test_unbleached_joint_fails_recovery(monkeypatch, capsys):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from unicollapse import envariance
 from unicollapse.envariance import (
     JointPairState,
     NotEnvariantError,
     PairLink,
     RankMismatchError,
     WitnessSet,
-    _apply_two_sided,
     composability_monoid,
     link_product_pairs,
     link_undo,
@@ -47,6 +47,13 @@ from unicollapse.linalg import (
 SWAP2 = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
+def apply_two_sided(state: StateVector, d_p: int, d_right: int,
+                    u_p: Operator, u_right: Operator) -> StateVector:
+    """(u_p (x) u_right)|state> without materializing the Kronecker product."""
+    moved = u_p.entries @ state.amplitudes.reshape(d_p, d_right) @ u_right.entries.T
+    return StateVector(moved.reshape(-1), state.factor_dims)
+
+
 def bell_pair() -> JointPairState:
     return JointPairState(
         StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2)), (2, 2)
@@ -66,7 +73,7 @@ def random_pair(d_p: int, d_n: int, seed: int) -> JointPairState:
 def rotated_copy(x: JointPairState, seed: int) -> JointPairState:
     u = haar_unitary(x.pos_dim, seed)
     v = haar_unitary(x.right_dim, seed + 1)
-    moved = _apply_two_sided(x.joint, x.pos_dim, x.right_dim, u, v)
+    moved = apply_two_sided(x.joint, x.pos_dim, x.right_dim, u, v)
     return JointPairState(moved, x.dims)
 
 
@@ -102,7 +109,7 @@ def test_synthesize_bell_phase_pair():
     a0, a1 = left.T
     np.testing.assert_allclose(u_p.entries @ a0, a0, atol=1e-12)
     np.testing.assert_allclose(u_p.entries @ a1, np.exp(1j * theta) * a1, atol=1e-12)
-    restored = _apply_two_sided(x.joint, 2, 2, u_p, u_n)
+    restored = apply_two_sided(x.joint, 2, 2, u_p, u_n)
     assert distance(restored, x.joint) < 1e-12
 
 
@@ -126,7 +133,7 @@ def test_restoration_property_random_states():
         x = random_pair(int(d_p), int(d_n), int(rng.integers(1 << 31)))
         rank = int(np.sum(x.spectrum() > 1e-12))
         u_p, u_n = synthesize_envariant(x, rng.uniform(0.0, 2 * np.pi, size=rank))
-        restored = _apply_two_sided(x.joint, x.pos_dim, x.right_dim, u_p, u_n)
+        restored = apply_two_sided(x.joint, x.pos_dim, x.right_dim, u_p, u_n)
         assert distance(restored, x.joint) <= 1e-9
 
 
@@ -193,11 +200,28 @@ def test_pair_equivalent_reflexive():
 def test_pair_equivalent_locally_rotated_bell():
     x = bell_pair()
     hadamard = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-    rotated = _apply_two_sided(x.joint, 2, 2, identity(2), hadamard)
+    rotated = apply_two_sided(x.joint, 2, 2, identity(2), hadamard)
     y = JointPairState(rotated, (2, 2))
     verdict = pair_equivalent(x, y, trials=4, seed=1)
     assert verdict.related
     assert max(w.residual for w in verdict.witnesses) <= 1e-9
+
+
+def test_pair_equivalent_rejects_a_leaking_trial(monkeypatch):
+    # a rotation that mixes Schmidt blocks has no undo: the trial is a
+    # rejected witness, not a raise
+    real = envariance._sample_stack
+
+    def skewed(left, blocks, draws):
+        rotation = real(left, blocks, draws)
+        rotation[:, 0, 0] *= 1.001
+        return rotation
+
+    monkeypatch.setattr(envariance, "_sample_stack", skewed)
+    verdict = pair_equivalent(random_pair(3, 3, 5), random_pair(3, 3, 5), trials=2)
+    assert not verdict.related
+    assert verdict.witnesses[0].residual <= 1e-9  # the transport witness holds
+    assert min(w.residual for w in verdict.witnesses[1:]) > 1e-9
 
 
 def test_pair_equivalent_bell_vs_product():
