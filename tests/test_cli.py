@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 
 import jsonschema
 import numpy as np
@@ -20,7 +21,12 @@ from unicollapse.cli import (
     main,
     run,
 )
-from unicollapse.grothendieck import GroupElement, MonoidPair
+from unicollapse.grothendieck import (
+    NATURALS_ADD,
+    GroupElement,
+    MonoidPair,
+    pair_equivalent,
+)
 from unicollapse.linalg import (
     StateVector,
     distance,
@@ -385,6 +391,16 @@ def test_identity_group_neg_fails_homomorphism(monkeypatch, capsys):
     assert "add_neg_homomorphism" in failed
 
 
+def test_order_relation_fails_integer_oracle(monkeypatch, capsys):
+    ordered = dataclasses.replace(NATURALS_ADD, eq=operator.le)
+    # the scalar relation runs the same body, so it answers wrongly too:
+    # 0 + 0 <= 1 + 0 although 0 - 1 != 0 - 0
+    assert pair_equivalent(MonoidPair(0, 1), MonoidPair(0, 0), ordered)
+    monkeypatch.setattr(cli, "NATURALS_ADD", ordered)
+    failed = _failed_checks(["grothendieck-int", "--range", "6"], capsys)
+    assert failed == {"relation_matches_integer_oracle"}
+
+
 def test_grothendieck_sweep_counts_what_it_checks(monkeypatch):
     real = cli.pair_equivalent_bulk
     verdicts = []
@@ -443,6 +459,23 @@ def test_darwinism_passes_over_its_validated_domain(n, angle, samples, delta, se
     assert (code, err) == (0, ""), argv
     report = json.loads(out, parse_constant=_reject_constant)
     assert [c["name"] for c in report["checks"]] == DARWINISM_CHECKS
+
+
+@pytest.mark.parametrize("top", range(1, 9))
+def test_grothendieck_passes_over_its_validated_domain(top):
+    code, out, err = _main_captured(["grothendieck-int", "--range", str(top)])
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in report["checks"]] == [
+        "relation_matches_integer_oracle", "add_neg_homomorphism"]
+    assert report["results"]["tuples_checked"] == (top + 1) ** 4
+
+
+@pytest.mark.parametrize("top", ["0", "201"])
+def test_grothendieck_one_step_outside_its_domain_exits_two(top):
+    code, out, err = _main_captured(["grothendieck-int", f"--range={top}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
 
 
 @pytest.mark.parametrize("flag, value", [

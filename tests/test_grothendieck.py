@@ -1,6 +1,7 @@
 """Tests for the group completion machinery, using machine integers and
 rationals as exact oracles."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -67,16 +68,25 @@ def test_pair_equivalent_matches_rational_oracle(a, b, c, d):
     assert got == (Fraction(a, b) == Fraction(c, d))
 
 
+INTEGERS_MOD_7 = CommutativeMonoid(name="integers-mod-7", combine=operator.add,
+                                   identity=0, eq=lambda u, v: (u - v) % 7 == 0,
+                                   cancellative=True)
+
+
 def test_bulk_relation_agrees_with_scalar_path():
     rng = np.random.default_rng(5)
     a, b, c, d = rng.integers(0, 50, size=(4, 200))
-    bulk = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
-    scalar = [
-        pair_equivalent(MonoidPair(int(ai), int(bi)), MonoidPair(int(ci), int(di)),
-                        NATURALS_ADD)
-        for ai, bi, ci, di in zip(a, b, c, d)
-    ]
-    assert bulk.tolist() == scalar
+    # (9, 0) ~ (2, 0) mod 7 only: a bulk path that ignores ``eq`` misses it
+    a, b, c, d = (np.append(v, last) for v, last in zip((a, b, c, d), (9, 0, 2, 0)))
+    for monoid in (NATURALS_ADD, INTEGERS_MOD_7):
+        bulk = pair_equivalent_bulk(a, b, c, d, monoid)
+        scalar = [
+            pair_equivalent(MonoidPair(int(ai), int(bi)), MonoidPair(int(ci), int(di)),
+                            monoid)
+            for ai, bi, ci, di in zip(a, b, c, d)
+        ]
+        assert bulk.tolist() == scalar, monoid
+    assert scalar[-1]
 
 
 # ---------------------------------------------------------------------------
