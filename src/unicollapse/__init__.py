@@ -23,7 +23,6 @@ from .grothendieck import (
     CommutativeMonoid,
     GroupElement,
     MonoidPair,
-    UndecidedEquivalenceError,
     canonicalize,
     element,
     group_add,

@@ -548,8 +548,8 @@ def _load_config(scenario: str, args: argparse.Namespace) -> ScenarioConfig:
     merged: dict = {"scenario": scenario}
     if args.config is not None:
         try:
-            file_values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as err:
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
             raise ConfigError(f"config: cannot read {args.config}: {err}") from err
         if not isinstance(file_values, dict):
             raise ConfigError("config: top level must be a JSON object")

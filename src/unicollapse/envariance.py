@@ -405,7 +405,9 @@ def _link_stack(a, b, c, d, ancilla):
 
 
 def _link_undo_stack(left_pos, right_pos, left_neg, right_neg, u_p):
-    """:func:`link_undo`: (u_n, leakage), the leakage 1 - |<left_pos|u_p right_pos>|."""
+    """The u_n matching u_p in a link's equation, (u_n, leakage): u_n maps
+    left_neg to right_neg with the phase compensating u_p, exact when the
+    leakage 1 - |<left_pos|u_p right_pos>| is zero."""
     overlap = np.vecdot(left_pos, (u_p @ right_pos[..., None])[..., 0])
     u_n = overlap.conj()[:, None, None] * transport_unitary(left_neg, right_neg)
     return u_n, 1.0 - np.abs(overlap)
@@ -647,8 +649,8 @@ class PairLink:
         left_pos (x) right_neg (x) ancilla
             = (u_p right_pos) (x) (u_n left_neg) (x) (u_ancilla ancilla)
 
-    at one canonical choice of u_p.  Other positive-side unitaries are served
-    by :func:`link_undo`, which recomputes the matching u_n.
+    at one canonical choice of u_p.  :func:`transitivity_witness` recomputes
+    the matching u_n at the positive-side unitary it is given.
     """
 
     left_pos: StateVector
@@ -691,22 +693,6 @@ def _not_transported(leakage: float) -> NotEnvariantError:
         mixed_coefficients=(1.0, 1.0 - leakage),
         leakage=leakage,
     )
-
-
-def link_undo(link: PairLink, u_p: Operator) -> Operator:
-    """The negative-side unitary matching ``u_p`` in the link's equation.
-
-    ``u_p`` must transport the link's right_pos onto left_pos up to a phase;
-    the returned unitary carries the compensating phase and maps left_neg to
-    right_neg.
-    """
-    u_n, leakage = _link_undo_stack(
-        *(v.amplitudes[None] for v in (link.left_pos, link.right_pos,
-                                       link.left_neg, link.right_neg)),
-        u_p.entries[None])
-    if leakage[0] > DEFAULT_TOL.witness:
-        raise _not_transported(float(leakage[0]))
-    return Operator(u_n[0])
 
 
 def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> WitnessSet:
@@ -763,14 +749,11 @@ def trivial_state() -> StateVector:
     return basis_state(1, 0)
 
 
-def _dimension_cross_rule(x: MonoidPair, y: MonoidPair) -> bool:
-    return x.pos.dim * y.neg.dim == x.neg.dim * y.pos.dim
-
-
 def composability_monoid() -> CommutativeMonoid:
     """States under the tensor product, as a group-completion input.
 
-    Pair equivalence follows the dimension cross rule: the crossed sides
+    Two states are equal in the monoid when their dimensions are, so pair
+    equivalence is the dimension cross rule: the crossed sides
     pos(x) (x) neg(y) and pos(y) (x) neg(x) live in spaces of equal total
     dimension exactly when a unitary between them exists, so the completion
     is the dimension arithmetic of tensor products (positive rationals).  At
@@ -781,9 +764,7 @@ def composability_monoid() -> CommutativeMonoid:
         name="state-composability",
         combine=tensor,
         identity=trivial_state(),
-        eq=lambda u, v: u.dim == v.dim and distance(u, v) <= DEFAULT_TOL.witness,
-        cancellative=True,
-        pair_decision=_dimension_cross_rule,
+        eq=lambda u, v: u.dim == v.dim,
     )
 
 
@@ -793,10 +774,10 @@ def representative_switch(x: MonoidPair, y: MonoidPair) -> Operator:
     Maps pos(x) (x) neg(y) onto pos(y) (x) neg(x); exists whenever the
     dimension cross rule holds.
     """
-    if not _dimension_cross_rule(x, y):
+    source = tensor(x.pos, y.neg)
+    target = tensor(y.pos, x.neg)
+    if source.dim != target.dim:
         raise DimensionMismatchError(
             "pairs are not equivalent: total crossed dimensions differ"
         )
-    source = tensor(x.pos, y.neg)
-    target = tensor(y.pos, x.neg)
     return Operator(transport_unitary(source.amplitudes, target.amplitudes))

@@ -1,18 +1,15 @@
-"""Group completion of a commutative monoid via pairs and the exists-k relation.
+"""Group completion of a commutative monoid via pairs.
 
 Two pairs (a, b) and (c, d) over a commutative monoid are equivalent when
-``a + d + k == b + c + k`` for some monoid element k.  For cancellative
-monoids k is redundant and only the identity is checked; non-cancellative
-monoids must supply a bounded k-candidate stream, and exhausting it without a
-hit raises :class:`UndecidedEquivalenceError` -- an honest "unknown" distinct
-from a negative answer.
+``a + d + k == b + c + k`` for some monoid element k.  Every monoid here
+obeys the cancellation law, so k is redundant and the relation is
+``a + d == b + c`` under the monoid's own ``eq`` (Atiyah, *K-Theory*, 1967).
 
 Two instantiations ship as module singletons: the naturals under addition
 (completing to the integers) and the positive integers under multiplication
 (completing to the positive rationals -- the dimension arithmetic of tensor
 products).  Other element domains plug in by constructing their own
-:class:`CommutativeMonoid`, optionally with a bespoke ``pair_decision`` that
-replaces the k-search wholesale.
+:class:`CommutativeMonoid`.
 """
 
 from __future__ import annotations
@@ -20,17 +17,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 
 class MixedMonoidError(ValueError):
     """Group arithmetic attempted across two different monoids."""
-
-
-class UndecidedEquivalenceError(RuntimeError):
-    """The bounded k-search was exhausted without reaching a decision."""
 
 
 class UnsupportedReductionError(ValueError):
@@ -42,22 +35,17 @@ class CommutativeMonoid:
     """Contract bundle for a commutative monoid.
 
     ``combine`` must be associative and commutative on the element domain and
-    ``identity`` its unit; these laws are sampled in tests, not enforced here.
-    ``k_candidates`` yields the bounded search stream used when the monoid is
-    not cancellative.  ``pair_decision``, when set, decides pair equivalence
-    directly and bypasses the k-search (used by the state-composability
-    monoid, whose equivalence is not a term equality).
+    obey the cancellation law (a + e == b + e implies a == b, under ``eq``),
+    and ``identity`` must be its unit; these laws are sampled in tests, not
+    enforced here.
     """
 
     name: str
     combine: Callable[[Any, Any], Any]
     identity: Any
     eq: Callable[[Any, Any], bool] = operator.eq
-    cancellative: bool = False
     member: Optional[Callable[[Any], bool]] = None
-    k_candidates: Optional[Callable[[], Iterable[Any]]] = None
     reduce: Optional[Callable[[Any, Any], tuple]] = None
-    pair_decision: Optional[Callable[["MonoidPair", "MonoidPair"], bool]] = None
 
     def check_member(self, value) -> None:
         if self.member is not None and not self.member(value):
@@ -79,7 +67,7 @@ class MonoidPair:
 class GroupElement:
     """A group-completion element: a representative pair plus its monoid.
 
-    Equality is the exists-k pair relation, so distinct representatives of the
+    Equality is the pair relation, so distinct representatives of the
     same class compare equal; instances are therefore unhashable.
     """
 
@@ -126,33 +114,13 @@ def _same_monoid(x: GroupElement, y: GroupElement) -> CommutativeMonoid:
 # ---------------------------------------------------------------------------
 
 def _related(x_pos, x_neg, y_pos, y_neg, m: CommutativeMonoid):
-    """a + d == b + c under the monoid's own ``eq``: the relation at k = identity."""
+    """a + d == b + c under the monoid's own ``eq``."""
     return m.eq(m.combine(x_pos, y_neg), m.combine(x_neg, y_pos))
 
 
 def pair_equivalent(x: MonoidPair, y: MonoidPair, m: CommutativeMonoid) -> bool:
-    """Decide (a, b) ~ (c, d), i.e. whether a + d + k == b + c + k for some k.
-
-    Cancellative monoids only need k = identity.  Non-cancellative monoids
-    search the monoid's bounded k stream, folding k into both positive slots,
-    and raise :class:`UndecidedEquivalenceError` when it is exhausted without
-    a hit.
-    """
-    if m.pair_decision is not None:
-        return m.pair_decision(x, y)
-    related = bool(_related(x.pos, x.neg, y.pos, y.neg, m))
-    if related or m.cancellative:
-        return related
-    if m.k_candidates is None:
-        raise UndecidedEquivalenceError(
-            f"monoid {m.name} is not cancellative and has no k-candidate stream"
-        )
-    for k in m.k_candidates():
-        if _related(m.combine(x.pos, k), x.neg, m.combine(y.pos, k), y.neg, m):
-            return True
-    raise UndecidedEquivalenceError(
-        f"k-candidates exhausted for {m.name} without a decision"
-    )
+    """Decide (a, b) ~ (c, d), i.e. whether a + d == b + c."""
+    return bool(_related(x.pos, x.neg, y.pos, y.neg, m))
 
 
 def group_add(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -195,15 +163,10 @@ def pair_equivalent_bulk(x_pos, x_neg, y_pos, y_neg,
                          m: CommutativeMonoid) -> np.ndarray:
     """Vectorized pair relation over aligned (or broadcastable) arrays.
 
-    Only valid for plain cancellative monoids whose ``combine`` and ``eq`` act
-    elementwise on numpy arrays (both shipped integer instances do); it
-    evaluates the same relation as :func:`pair_equivalent`, one verdict per
-    element.
+    Only valid for monoids whose ``combine`` and ``eq`` act elementwise on
+    numpy arrays (both shipped integer instances do); it evaluates the same
+    relation as :func:`pair_equivalent`, one verdict per element.
     """
-    if not m.cancellative or m.pair_decision is not None:
-        raise UnsupportedReductionError(
-            f"bulk evaluation needs a plain cancellative monoid, got {m.name}"
-        )
     return np.asarray(_related(*map(np.asarray, (x_pos, x_neg, y_pos, y_neg)), m))
 
 
@@ -225,7 +188,6 @@ NATURALS_ADD = CommutativeMonoid(
     name="naturals-under-addition",
     combine=operator.add,
     identity=0,
-    cancellative=True,
     member=lambda v: (isinstance(v, (int, np.integer)) and v >= 0),
     reduce=_reduce_difference,
 )
@@ -234,7 +196,6 @@ POSITIVES_MUL = CommutativeMonoid(
     name="positive-integers-under-multiplication",
     combine=operator.mul,
     identity=1,
-    cancellative=True,
     member=lambda v: (isinstance(v, (int, np.integer)) and v >= 1),
     reduce=_reduce_ratio,
 )

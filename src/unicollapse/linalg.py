@@ -400,46 +400,3 @@ def transport_unitary(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     qs = unitary_with_first_column(source)
     qt = unitary_with_first_column(target)
     return qt @ np.swapaxes(qs.conj(), -1, -2)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: {"factor_dims": [...], "re": [...], "im": [...]}
-# ---------------------------------------------------------------------------
-
-def state_to_json(state: StateVector) -> dict:
-    return {
-        "factor_dims": list(state.factor_dims),
-        "re": [float(x) for x in state.amplitudes.real],
-        "im": [float(x) for x in state.amplitudes.imag],
-    }
-
-
-def state_from_json(payload: dict) -> StateVector:
-    dims = tuple(int(d) for d in payload["factor_dims"])
-    amps = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    return StateVector(amps, dims)
-
-
-def operator_to_json(op: Operator, factor_dims: Sequence[int] | None = None) -> dict:
-    dims = list(factor_dims) if factor_dims is not None else [op.dim]
-    if math.prod(dims) != op.dim:
-        raise DimensionMismatchError(
-            f"factor_dims {dims} do not multiply to operator dim {op.dim}"
-        )
-    flat = op.entries.reshape(-1)
-    return {
-        "factor_dims": dims,
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
-
-
-def operator_from_json(payload: dict) -> Operator:
-    dims = [int(d) for d in payload["factor_dims"]]
-    dim = math.prod(dims)
-    flat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    if flat.size != dim * dim:
-        raise DimensionMismatchError(
-            f"entry count {flat.size} is not the square of dim {dim}"
-        )
-    return Operator(flat.reshape(dim, dim))

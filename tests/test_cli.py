@@ -6,6 +6,11 @@ import io
 import json
 import math
 import operator
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -298,6 +303,42 @@ def test_envariant_rotation_leaving_its_subgroup_fails_laws(monkeypatch, capsys)
                       "witness_unitarity_max"}
 
 
+def _tilted(ops):
+    """``ops`` composed with a fixed rotation by 1e-3 between the first two
+    basis vectors."""
+    rotation = np.eye(ops.shape[-1], dtype=complex)
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    return ops @ rotation
+
+
+def test_tilted_link_undo_fails_transitivity(monkeypatch, capsys):
+    real = envariance._link_undo_stack
+
+    def tilted(*args):
+        u_n, leakage = real(*args)
+        return _tilted(u_n), leakage
+
+    monkeypatch.setattr(envariance, "_link_undo_stack", tilted)
+    failed = _failed_checks(["equiv-laws", "--triples", "5", "--seed", "3"], capsys)
+    assert failed == {"transitivity_residual_max"}
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_tilted_reverse_rotation_fails_symmetry(seed, monkeypatch, capsys):
+    # the undo of a v_p outside y's envariant coset leaks about 1e-3, and the
+    # v_n built from it misses unitarity by about 1e-6
+    real = envariance._reverse_stack
+
+    def tilted(*args):
+        *rest, v_p = args
+        return real(*rest, _tilted(v_p))
+
+    monkeypatch.setattr(envariance, "_reverse_stack", tilted)
+    failed = _failed_checks(["equiv-laws", "--triples", "5", "--seed", seed], capsys)
+    assert failed == {"symmetry_residual_max", "witness_unitarity_max"}
+
+
 def test_unbleached_joint_fails_recovery(monkeypatch, capsys):
     rng = np.random.default_rng(4)
 
@@ -539,6 +580,14 @@ def test_mistyped_config_values_exit_two(tmp_path, capsys, values):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_two(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'\xff\xfe{"seed": 1}')
+    code, out, err = _main_captured(["born", "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -581,3 +630,23 @@ def test_run_reports_validate_against_schema():
     assert code == 0
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["results"]["probabilities"] == ["1/2", "1/2"]
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    # byte identity holds at fixed BLAS thread settings; these configs keep it
+    # across one and two OpenBLAS threads too (README names the exception)
+    configs = [["equiv-laws", "--triples", "50", "--seed", "3"],
+               ["nohide", "--dim", "8", "--inputs", "6", "--seed", "1"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        runs = [subprocess.Popen([sys.executable, "-m", "unicollapse.cli", *argv],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                for argv in configs]
+        outputs = [run.communicate() for run in runs]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert [err for _, err in outputs] == [b"", b""]
+        reports[threads] = [re.sub(rb'"wall_time_s": [^\n]*', b"", out) for out, _ in outputs]
+    assert reports["1"] == reports["2"]

@@ -12,7 +12,6 @@ from unicollapse.envariance import (
     WitnessSet,
     composability_monoid,
     link_product_pairs,
-    link_undo,
     pair_equivalent,
     representative_switch,
     sample_chain,
@@ -39,6 +38,7 @@ from unicollapse.linalg import (
     distance,
     haar_unitary,
     identity,
+    normalized,
     random_state,
     schmidt,
     tensor,
@@ -263,6 +263,31 @@ def test_spectrum_soundness_adversarial():
         assert not pair_equivalent(x, y).related
 
 
+def test_stacked_verdict_rejects_unrelated_spectra():
+    # partners built from x's Schmidt data: the largest coefficient scaled by
+    # 1 + 1e-6, and the smallest dropped; both renormalized
+    x = envariance._pairs(np.stack([random_pair(3, 3, seed + 700).joint.amplitudes
+                                    for seed in range(20)]).reshape(20, 3, 3))
+    blocks = envariance._support_blocks(x.coeffs[0])
+    assert all(len(envariance._support_blocks(c)) == 3 for c in x.coeffs)
+    rotations = [envariance._sample_stack(x.left, blocks, [
+        envariance._draw_envariant(blocks, np.random.default_rng((seed, trial)))
+        for seed in range(20)]) for trial in (0, 1)]
+    undos = [envariance._undo_stack((x.left, x.right), blocks, r) for r in rotations]
+    scaled, dropped = x.coeffs.copy(), x.coeffs.copy()
+    scaled[:, 0] *= 1 + 1e-6
+    dropped[:, -1] = 0.0
+    for coeffs in (scaled, dropped):
+        matrices = (x.left * coeffs[:, None, :]) @ np.swapaxes(x.right, 1, 2)
+        partner = envariance._pairs(normalized(matrices).reshape(20, 3, 3))
+        assert not envariance._verdict_stack(x, partner, rotations, undos).related.any()
+        for amps, partner_amps in zip(x.amps, partner.amps):
+            assert not pair_equivalent(
+                JointPairState(StateVector(amps.reshape(-1), (3, 3)), (3, 3)),
+                JointPairState(StateVector(partner_amps.reshape(-1), (3, 3)), (3, 3)),
+            ).related
+
+
 def test_verdict_level_equivalence_laws():
     for seed in range(40):
         x = random_pair(3, 3, seed)
@@ -342,17 +367,15 @@ def test_link_certifies_product_pairs():
 
 
 def test_link_undo_requires_transport():
-    link = link_product_pairs(
-        (basis_state(2, 0), basis_state(2, 0)),
-        (basis_state(2, 1), basis_state(2, 1)),
-    )
+    # the chain |0> ~ |1> ~ |0> on the positive slot: only a swap moves each
+    # link's right_pos onto its left_pos
+    zero, one = basis_state(2, 0), basis_state(2, 1)
+    first = link_product_pairs((zero, zero), (one, one))
+    second = link_product_pairs((one, one), (zero, zero))
     # identity maps |1> to |1>, orthogonal to |0>: not admissible
     with pytest.raises(NotEnvariantError):
-        link_undo(link, identity(2))
-    u_n = link_undo(link, SWAP2)
-    moved = tensor(SWAP2.apply(link.right_pos), u_n.apply(link.left_neg))
-    target = tensor(link.left_pos, link.right_neg)
-    assert distance(moved, target) < 1e-12
+        transitivity_witness(first, second, identity(2))
+    assert transitivity_witness(first, second, SWAP2).residual <= 1e-12
 
 
 def test_transitivity_all_identities():

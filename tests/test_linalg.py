@@ -1,6 +1,5 @@
 """Unit and property tests for the dense linear-algebra core."""
 
-import json
 import math
 
 import numpy as np
@@ -19,13 +18,9 @@ from unicollapse.linalg import (
     fidelity,
     haar_unitary,
     identity,
-    operator_from_json,
-    operator_to_json,
     partial_trace,
     random_state,
     schmidt,
-    state_from_json,
-    state_to_json,
     tensor,
     transport_unitary,
 )
@@ -337,27 +332,3 @@ def test_transport_unitary_moves_source_to_target(seed, dim):
     assert np.max(np.abs(t.conj().T @ t - np.eye(dim))) < 1e-12
     np.testing.assert_allclose(t @ src, dst, atol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_state_json_round_trip():
-    psi = random_state(6, 41, factor_dims=(2, 3))
-    payload = state_to_json(psi)
-    assert json.loads(json.dumps(payload)) == payload
-    back = state_from_json(payload)
-    assert back.factor_dims == (2, 3)
-    np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
-
-
-def test_state_json_golden_form():
-    payload = state_to_json(basis_state(2, 1, factor_dims=(2,)))
-    assert payload == {"factor_dims": [2], "re": [0.0, 1.0], "im": [0.0, 0.0]}
-
-
-def test_operator_json_round_trip():
-    op = haar_unitary(4, 55)
-    payload = operator_to_json(op, factor_dims=(2, 2))
-    back = operator_from_json(payload)
-    np.testing.assert_allclose(back.entries, op.entries, atol=1e-15)
