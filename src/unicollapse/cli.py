@@ -229,22 +229,21 @@ def _run_grothendieck_int(cfg: ScenarioConfig):
 
 
 def _run_envariance_restore(cfg: ScenarioConfig):
-    # draw pass: each trial's numbers in a trial-by-trial run's order.  The
-    # phase count is the Schmidt rank, read from the SVD the synthesis reuses
+    # draw pass: each trial's numbers in a trial-by-trial run's order.  A
+    # Gaussian state has full Schmidt rank min(d_p, d_n), one phase per vector
     rng = np.random.default_rng(cfg.seed)
     groups: dict = {}
     for _ in range(cfg.trials):
         d_p = _choice(rng, (2, 3, 4, 6))
         d_n = _choice(rng, (2, 3, 4, 6))
-        real, imag = rng.standard_normal((2, 1, d_p, d_n))  # random_state's draws
-        amps = normalized(real + 1j * imag).reshape(1, d_p, d_n)
-        coeffs, left, right = schmidt_stack(amps)
-        rank = int(np.count_nonzero(coeffs > DEFAULT_TOL.rank_cutoff))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(1, rank))
-        groups.setdefault((d_p, d_n, rank), []).append((amps, left, right, phases))
+        normals = rng.standard_normal((2, d_p, d_n))  # random_state's draws
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=min(d_p, d_n))
+        groups.setdefault((d_p, d_n), []).append((normals, phases))
     worst = 0.0
-    for items in groups.values():
-        amps, left, right, phases = map(np.concatenate, zip(*items))
+    for (d_p, d_n), items in groups.items():
+        normals, phases = map(np.stack, zip(*items))
+        amps = normalized(normals[:, 0] + 1j * normals[:, 1]).reshape(-1, d_p, d_n)
+        _, left, right = schmidt_stack(amps)
         u_p, u_n = env._synthesize_stack(left, right, phases)
         worst = max(worst, float(np.max(env._residuals(u_p, amps, u_n, amps))))
     checks = [_check("restoration_residual_max", worst, DEFAULT_TOL.witness)]
@@ -256,14 +255,13 @@ def _choice(rng: np.random.Generator, values: tuple[int, ...]) -> int:
     return values[rng.integers(len(values))]
 
 
-def _laws_states(normals: np.ndarray, d_p: int, d_n: int, count: int) -> list:
+def _laws_states(normals: np.ndarray, d_p: int, d_n: int) -> list:
     """x, y = (u (x) v)x and z = (u' (x) v')y from the main generator's
-    stacked normals of their triples, as :class:`env._Pairs`; the first
-    ``count`` of them."""
+    stacked normals of their triples, as :class:`env._Pairs`."""
     shapes = [(d_p, d_n)] * 2 + ([(d_p, d_p)] * 2 + [(d_n, d_n)] * 2) * 2
     parts = env._split(normals, shapes)
     states = [normalized(parts[0] + 1j * parts[1]).reshape(len(normals), d_p, d_n)]
-    for g in (parts[2:6], parts[6:10])[:count - 1]:
+    for g in (parts[2:6], parts[6:10]):
         states.append(env._rotated(states[-1], haar_from_normals(g[0], g[1]),
                                    haar_from_normals(g[2], g[3])))
     return [env._pairs(state) for state in states]
@@ -272,41 +270,40 @@ def _laws_states(normals: np.ndarray, d_p: int, d_n: int, count: int) -> list:
 def _run_equiv_laws(cfg: ScenarioConfig):
     # Pass 1 draws every random number in the order of a triple-by-triple
     # run: the main generator's, each envariant trial's (seed + index, trial)
-    # and each chain's seed + 77_000 + index.  The symmetry rotation's draw
-    # count depends on y's Schmidt blocks, and the trials' on x's, so x and
-    # y are built here, from the same calls that pass 2 stacks.
+    # and each chain's seed + 77_000 + index.  x is complex Gaussian and y
+    # and z are local rotations of it, so all three have k = min(d_p, d_n)
+    # distinct nonzero Schmidt coefficients: every envariant rotation is k
+    # phases, and x and y draw the same trial phases from the same seeds.
     rng = np.random.default_rng(cfg.seed)
     groups: dict = {}
     for index in range(cfg.triples):
         d_p = _choice(rng, (2, 3))
         d_n = _choice(rng, (2, 3))
+        k = min(d_p, d_n)
         # x's amplitudes, then the Haar rotations taking x to y and y to z
-        normals = rng.standard_normal(2 * d_p * d_n + 4 * (d_p * d_p + d_n * d_n))[None]
-        blocks = [env._support_blocks(p.coeffs[0])
-                  for p in _laws_states(normals, d_p, d_n, count=2)]
-        symmetry = env._draw_envariant(blocks[1], rng)
-        trials = [[env._draw_envariant(b, np.random.default_rng((cfg.seed + index, t)))
-                   for t in (0, 1)] for b in blocks]
+        normals = rng.standard_normal(2 * d_p * d_n + 4 * (d_p * d_p + d_n * d_n))
+        symmetry = rng.uniform(0.0, 2.0 * math.pi, size=k)
+        trials = [np.random.default_rng((cfg.seed + index, t)).uniform(0.0, 2.0 * math.pi, size=k)
+                  for t in (0, 1)]
         chain = env._draw_chain(d_p, d_n, cfg.seed + 77_000 + index)
-        key = (d_p, d_n, *(tuple(map(tuple, b)) for b in blocks))
-        groups.setdefault(key, (blocks, []))[1].append(
-            (normals, symmetry, *trials, chain))
+        groups.setdefault((d_p, d_n), []).append((normals, symmetry, *trials, chain))
 
     # Pass 2: every verdict, witness, residual and unitarity defect, stacked
-    # over the triples of one dimension pair and block structure
+    # over the triples of one dimension pair
     reflexivity_failures = 0
     law_failures = 0
     symmetry_worst = 0.0
     transitivity_worst = 0.0
     unitarity_worst = 0.0
-    for (d_p, d_n, *_), ((blocks_x, blocks_y), items) in groups.items():
-        normals, symmetry, trials_x, trials_y, chain = zip(*items)
-        x, y, z = _laws_states(np.concatenate(normals), d_p, d_n, count=3)
-        k = x.coeffs.shape[1]
+    for (d_p, d_n), items in groups.items():
+        normals, symmetry, *trials, chain = map(np.stack, zip(*items))
+        x, y, z = _laws_states(normals, d_p, d_n)
+        k = min(d_p, d_n)
+        blocks = [np.array([i]) for i in range(k)]
         x_sides = (x.left[:, :, :k], x.right[:, :, :k])
         y_sides = (y.left[:, :, :k], y.right[:, :, :k])
-        rot_x, undo_x = _envariant_trials(x_sides, blocks_x, trials_x)
-        rot_y, undo_y = _envariant_trials(y_sides, blocks_y, trials_y)
+        rot_x, undo_x = _envariant_trials(x_sides, blocks, trials)
+        rot_y, undo_y = _envariant_trials(y_sides, blocks, trials)
         xx = env._verdict_stack(x, x, rot_x[:1], undo_x[:1])
         xy = env._verdict_stack(x, y, rot_x, undo_x)
         yz = env._verdict_stack(y, z, rot_y, undo_y)
@@ -320,12 +317,11 @@ def _run_equiv_laws(cfg: ScenarioConfig):
         law_failures += int(np.count_nonzero(~laws))
 
         forward_p, forward_n = xy.operators[:2]
-        rotation = env._sample_stack(y_sides[0], blocks_y, symmetry)
-        v_p = env._dagger(forward_p @ rotation)
-        v_n, reverse, undo = env._reverse_stack(x.amps, y.amps, y_sides, blocks_y,
+        v_p = env._dagger(forward_p @ env._phase_stack(y_sides[0], symmetry))
+        v_n, reverse, undo = env._reverse_stack(x.amps, y.amps, y_sides, blocks,
                                                 forward_p, forward_n, v_p)
         reverse = env._rejected(reverse, undo.leakage)
-        w_p, a, b, c, d, e, f = env._chain_states(np.stack(chain), d_p, d_n)
+        w_p, a, b, c, d, e, f = env._chain_states(chain, d_p, d_n)
         ancilla = np.ones((len(a), 1), dtype=complex)
         ancilla_unitary = ancilla[:, :, None]
         first = env._link_stack(a, b, c, d, ancilla)
@@ -349,11 +345,10 @@ def _run_equiv_laws(cfg: ScenarioConfig):
     return checks, {"triples": cfg.triples}, {}
 
 
-def _envariant_trials(sides, blocks, draws) -> tuple[list, list]:
-    """The two trial rotations of one state's envariant subgroup, drawn as
-    ``draws`` holds them per triple, and their undos: each computed once."""
-    rotations = [env._sample_stack(sides[0], blocks, [drawn[trial] for drawn in draws])
-                 for trial in (0, 1)]
+def _envariant_trials(sides, blocks, trials) -> tuple[list, list]:
+    """One state's envariant rotations at each stack of trial phases in
+    ``trials``, and their undos: each computed once."""
+    rotations = [env._phase_stack(sides[0], phases) for phases in trials]
     return rotations, [env._undo_stack(sides, blocks, r) for r in rotations]
 
 

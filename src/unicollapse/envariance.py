@@ -21,7 +21,14 @@ register absorbs the middle pair of a two-link chain.
 
 Every construction is a stacked kernel over arrays of n problems that share
 their dimensions; the scenarios call the kernels on whole stacks, and each
-object-level function here is a call with n = 1.
+object-level function here is a call with n = 1.  On a state whose nonzero
+Schmidt coefficients are distinct, the envariant rotations of the support are
+exactly phases along the Schmidt vectors (Zurek, PRL 90, 120404, 2003), and
+``_phase_stack`` builds them.  Phases along singleton blocks are envariant
+for every state, so the scenarios, whose complex Gaussian states have
+distinct nonzero coefficients with probability one, use nothing else; Haar
+sampling inside wider degenerate blocks is :func:`sample_envariant_unitary`'s
+alone.
 
 Note on slot bookkeeping: the chained identity equates two vectors whose
 like-dimensioned registers appear in different positions on the two sides.
@@ -203,9 +210,10 @@ class EquivalenceVerdict:
 #
 # Each kernel works on a leading axis of n independent problems that share
 # their dimensions (and, where Schmidt blocks matter, their block structure).
-# The scenarios call them on whole stacks; every object-level function below
-# is a call with n = 1.  Kernels return residuals and leakages; they never
-# raise on them.
+# The scenarios call them on whole stacks with singleton blocks, their
+# rotations built by _phase_stack; every object-level function below is a
+# call with n = 1.  Kernels return residuals and leakages; they never raise
+# on them.
 # ---------------------------------------------------------------------------
 
 class _Pairs(NamedTuple):
@@ -292,38 +300,18 @@ def _schmidt_action(basis: np.ndarray, blocks: Sequence[np.ndarray],
     return out
 
 
+def _phase_stack(basis: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """e^{i phi_k} along the k-th column of each problem's ``basis``, for
+    phases (n, r) along its first r columns; the identity off them."""
+    singles = [np.array([k]) for k in range(phases.shape[1])]
+    return _schmidt_action(basis, singles, np.exp(1j * phases).T[:, :, None, None])
+
+
 def _synthesize_stack(left: np.ndarray, right: np.ndarray,
                       phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`synthesize_envariant` for phases (n, r) along the first r
     Schmidt vectors of each problem."""
-    singles = [np.array([k]) for k in range(phases.shape[1])]
-    u_p = _schmidt_action(left, singles, np.exp(1j * phases).T[:, :, None, None])
-    u_n = _schmidt_action(right, singles, np.exp(-1j * phases).T[:, :, None, None])
-    return u_p, u_n
-
-
-def _draw_envariant(blocks: Sequence[np.ndarray], rng: np.random.Generator) -> list:
-    """The numbers :func:`sample_envariant_unitary` draws, in its order: a phase
-    for each one-dimensional block, the Ginibre parts of a Haar unitary for
-    each wider one."""
-    return [rng.uniform(0.0, 2.0 * math.pi) if len(block) == 1
-            else (rng.standard_normal((len(block),) * 2),
-                  rng.standard_normal((len(block),) * 2))
-            for block in blocks]
-
-
-def _sample_stack(left: np.ndarray, blocks: Sequence[np.ndarray],
-                  draws: Sequence[list]) -> np.ndarray:
-    """Envariant rotations from already-drawn numbers, one
-    :func:`_draw_envariant` list per problem."""
-    actions = []
-    for i, block in enumerate(blocks):
-        if len(block) == 1:
-            actions.append(np.exp(1j * np.array([drawn[i] for drawn in draws]))[:, None, None])
-        else:
-            actions.append(haar_from_normals(np.stack([drawn[i][0] for drawn in draws]),
-                                             np.stack([drawn[i][1] for drawn in draws])))
-    return _schmidt_action(left, blocks, actions)
+    return _phase_stack(left, phases), _phase_stack(right, -phases)
 
 
 def _undo_stack(sides: tuple[np.ndarray, np.ndarray], blocks: Sequence[np.ndarray],
@@ -559,11 +547,14 @@ def sample_envariant_unitary(psi: JointPairState, rng: np.random.Generator) -> O
     """Random element of the envariant subgroup for ``psi``.
 
     Independent Haar blocks inside each degenerate Schmidt block (a random
-    phase when the block is one-dimensional) and identity off the support.
+    phase when the block is one-dimensional) and identity off the support,
+    drawn block by block in Schmidt order.
     """
     blocks = _support_blocks(psi.spectrum())
-    left, _ = _sides(psi)
-    return Operator(_sample_stack(left, blocks, [_draw_envariant(blocks, rng)])[0])
+    actions = [np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(1, 1, 1))) if len(b) == 1
+               else haar_from_normals(*rng.standard_normal((2, 1, len(b), len(b))))
+               for b in blocks]
+    return Operator(_schmidt_action(_sides(psi)[0], blocks, actions)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +586,9 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
         return EquivalenceVerdict(False, sx, sy, (), trials)
 
     blocks = _support_blocks(sx)
-    left, _ = sides = _sides(xp)
-    rotations = [_sample_stack(left, blocks, [_draw_envariant(
-        blocks, np.random.default_rng((seed, trial)))]) for trial in range(trials)]
-    undos = [_undo_stack(sides, blocks, rotation) for rotation in rotations]
+    rotations = [sample_envariant_unitary(xp, np.random.default_rng((seed, trial))).entries[None]
+                 for trial in range(trials)]
+    undos = [_undo_stack(_sides(xp), blocks, rotation) for rotation in rotations]
     verdict = _verdict_stack(_pairs(_one(xp)), _pairs(_one(yp)), rotations, undos)
     ops = verdict.operators
     witnesses = tuple(WitnessSet(u_p=Operator(ops[2 * i][0]), u_n=Operator(ops[2 * i + 1][0]),

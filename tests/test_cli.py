@@ -279,9 +279,9 @@ def test_scaled_fourier_fails_bleach_unitarity_beyond_dense_limit(monkeypatch, c
 
 
 def test_scaled_envariant_rotation_fails_witness_unitarity(monkeypatch, capsys):
-    real = envariance._sample_stack
-    monkeypatch.setattr(envariance, "_sample_stack",
-                        lambda left, blocks, draws: 1.001 * real(left, blocks, draws))
+    real = envariance._phase_stack
+    monkeypatch.setattr(envariance, "_phase_stack",
+                        lambda basis, phases: 1.001 * real(basis, phases))
     failed = _failed_checks(["equiv-laws", "--triples", "5"], capsys)
     assert failed == {"witness_unitarity_max"}
 
@@ -290,14 +290,14 @@ def test_envariant_rotation_leaving_its_subgroup_fails_laws(monkeypatch, capsys)
     # entry [0, 0] x 1.001 mixes Schmidt blocks: every trial's undo leaks, so
     # every verdict is unrelated, no triple reaches the symmetry and
     # transitivity witnesses, and the rotations are not unitary
-    real = envariance._sample_stack
+    real = envariance._phase_stack
 
-    def skewed(left, blocks, draws):
-        rotation = real(left, blocks, draws)
+    def skewed(basis, phases):
+        rotation = real(basis, phases)
         rotation[:, 0, 0] *= 1.001
         return rotation
 
-    monkeypatch.setattr(envariance, "_sample_stack", skewed)
+    monkeypatch.setattr(envariance, "_phase_stack", skewed)
     failed = _failed_checks(["equiv-laws", "--triples", "5"], capsys)
     assert failed == {"reflexivity_failures", "verdict_law_failures",
                       "witness_unitarity_max"}
@@ -386,7 +386,8 @@ def test_born_norm_drift_fails_global_purity(monkeypatch, capsys):
     assert "global_purity" in _failed_checks(["born", "--weights", "2,3"], capsys)
 
 
-def test_born_non_bijective_gate_fails_unitarity(monkeypatch, capsys):
+def _non_bijective_shift():
+    """controlled_shift_gate with its first two images equal."""
     real = collapse.controlled_shift_gate
 
     def broken(dim):
@@ -394,8 +395,27 @@ def test_born_non_bijective_gate_fails_unitarity(monkeypatch, capsys):
         gate[1] = gate[0]
         return gate
 
-    monkeypatch.setattr(collapse, "controlled_shift_gate", broken)
+    return broken
+
+
+def test_born_non_bijective_gate_fails_unitarity(monkeypatch, capsys):
+    monkeypatch.setattr(collapse, "controlled_shift_gate", _non_bijective_shift())
     assert "fine_graining_unitary" in _failed_checks(["born", "--weights", "2,3"], capsys)
+
+
+def test_darwinism_non_bijective_gate_fails_broadcast_unitarity(monkeypatch, capsys):
+    monkeypatch.setattr(collapse, "controlled_shift_gate", _non_bijective_shift())
+    failed = _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
+    assert failed == {"broadcast_gate_unitary"}
+
+
+def test_nohide_without_controlled_phase_fails_bleaching(monkeypatch, capsys):
+    # shifts without phases leave the marginal input-dependent and not I/d,
+    # and recover's fixed inverse, which expects the phases, misses the input
+    monkeypatch.setattr(collapse, "_controlled_phase", lambda d: np.ones(d * d, dtype=complex))
+    failed = _failed_checks(["nohide", "--dim", "3"], capsys)
+    assert failed == {"bleached_marginal_input_independent",
+                      "bleached_marginal_maximally_mixed", "recovery_distance"}
 
 
 def test_born_uneven_coarse_amplitude_fails_flatness_and_envariance(monkeypatch, capsys):
@@ -413,7 +433,9 @@ def test_born_uneven_coarse_amplitude_fails_flatness_and_envariance(monkeypatch,
 
 def test_darwinism_norm_drift_fails_global_purity(monkeypatch, capsys):
     monkeypatch.setattr(collapse, "controlled_shift_gate", _scaled_dense_shift(1.001))
-    assert "global_purity" in _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
+    failed = _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
+    assert failed == {"broadcast_gate_unitary", "curve_matches_closed_form",
+                      "curve_monotone_defect", "global_purity", "gram_matches_dense"}
 
 
 def test_crossed_group_add_fails_homomorphism(monkeypatch, capsys):
@@ -527,6 +549,37 @@ def test_grothendieck_one_step_outside_its_domain_exits_two(top):
 ])
 def test_darwinism_one_step_outside_its_domain_exits_two(flag, value):
     code, out, err = _main_captured(["darwinism", f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
+
+
+ENVARIANCE_CHECKS = {
+    "equiv-laws": ("--triples", ["reflexivity_failures", "verdict_law_failures",
+                                 "symmetry_residual_max", "transitivity_residual_max",
+                                 "witness_unitarity_max"]),
+    "envariance-restore": ("--trials", ["restoration_residual_max"]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(ENVARIANCE_CHECKS))
+@given(count=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_envariance_scenarios_pass_over_their_validated_domain(scenario, count, seed):
+    flag, checks = ENVARIANCE_CHECKS[scenario]
+    argv = [scenario, flag, str(count), "--seed", str(seed)]
+    code, out, err = _main_captured(argv)
+    assert (code, err) == (0, ""), argv
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in report["checks"]] == checks
+
+
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("equiv-laws", "--triples", "0"), ("equiv-laws", "--triples", "10001"),
+    ("equiv-laws", "--seed", "-1"), ("envariance-restore", "--trials", "0"),
+    ("envariance-restore", "--trials", "10001"), ("envariance-restore", "--seed", "-1"),
+])
+def test_envariance_scenarios_one_step_outside_their_domain_exit_two(scenario, flag, value):
+    code, out, err = _main_captured([scenario, f"{flag}={value}"])
     assert (code, out) == (2, "")
     assert err.startswith("config error:")
 

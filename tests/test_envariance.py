@@ -210,14 +210,14 @@ def test_pair_equivalent_locally_rotated_bell():
 def test_pair_equivalent_rejects_a_leaking_trial(monkeypatch):
     # a rotation that mixes Schmidt blocks has no undo: the trial is a
     # rejected witness, not a raise
-    real = envariance._sample_stack
+    real = envariance.sample_envariant_unitary
 
-    def skewed(left, blocks, draws):
-        rotation = real(left, blocks, draws)
-        rotation[:, 0, 0] *= 1.001
-        return rotation
+    def skewed(psi, rng):
+        rotation = real(psi, rng).entries.copy()
+        rotation[0, 0] *= 1.001
+        return Operator(rotation)
 
-    monkeypatch.setattr(envariance, "_sample_stack", skewed)
+    monkeypatch.setattr(envariance, "sample_envariant_unitary", skewed)
     verdict = pair_equivalent(random_pair(3, 3, 5), random_pair(3, 3, 5), trials=2)
     assert not verdict.related
     assert verdict.witnesses[0].residual <= 1e-9  # the transport witness holds
@@ -270,9 +270,9 @@ def test_stacked_verdict_rejects_unrelated_spectra():
                                     for seed in range(20)]).reshape(20, 3, 3))
     blocks = envariance._support_blocks(x.coeffs[0])
     assert all(len(envariance._support_blocks(c)) == 3 for c in x.coeffs)
-    rotations = [envariance._sample_stack(x.left, blocks, [
-        envariance._draw_envariant(blocks, np.random.default_rng((seed, trial)))
-        for seed in range(20)]) for trial in (0, 1)]
+    rotations = [envariance._phase_stack(x.left, np.stack([
+        np.random.default_rng((seed, trial)).uniform(0.0, 2.0 * np.pi, size=3)
+        for seed in range(20)])) for trial in (0, 1)]
     undos = [envariance._undo_stack((x.left, x.right), blocks, r) for r in rotations]
     scaled, dropped = x.coeffs.copy(), x.coeffs.copy()
     scaled[:, 0] *= 1 + 1e-6
@@ -286,6 +286,31 @@ def test_stacked_verdict_rejects_unrelated_spectra():
                 JointPairState(StateVector(amps.reshape(-1), (3, 3)), (3, 3)),
                 JointPairState(StateVector(partner_amps.reshape(-1), (3, 3)), (3, 3)),
             ).related
+
+
+BELL = np.eye(2, dtype=complex)[None] / np.sqrt(2)
+ZERO_ZERO_3X2 = np.zeros((1, 3, 2), dtype=complex)
+ZERO_ZERO_3X2[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("amps", [BELL, ZERO_ZERO_3X2, np.tile(BELL, (4, 1, 1))],
+                         ids=["bell", "00-in-3x2", "four-bells"])
+def test_singleton_phases_are_envariant_on_degenerate_states(amps):
+    # the scenarios' rule -- one phase per Schmidt vector -- where its premise
+    # of distinct nonzero coefficients fails: the phases span a smaller
+    # subgroup, but each is still undone on the other side
+    x = envariance._pairs(amps)
+    k = x.coeffs.shape[1]
+    blocks = [np.array([i]) for i in range(k)]
+    sides = (x.left[:, :, :k], x.right[:, :, :k])
+    rng = np.random.default_rng(4)
+    rotations = [envariance._phase_stack(sides[0], rng.uniform(0.0, 2.0 * np.pi, (len(amps), k)))
+                 for _ in range(2)]
+    undos = [envariance._undo_stack(sides, blocks, r) for r in rotations]
+    verdict = envariance._verdict_stack(x, x, rotations, undos)
+    assert verdict.related.all()
+    assert np.max(verdict.residuals) <= 1e-12
+    assert all(np.all(undo.leakage == 0.0) for undo in undos)
 
 
 def test_verdict_level_equivalence_laws():
