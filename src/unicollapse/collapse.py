@@ -16,8 +16,8 @@ norm drift of their output, measured before ``StateVector`` renormalizes it.
   equal-size record register so that every fine branch carries amplitude
   1/sqrt(M), at which point every branch transposition is envariant and the
   outcome weights are exact branch counts.  All C(M, 2) transpositions are
-  checked in one batch in M x M Schmidt coordinates, with no dense witness,
-  and every claim comes back as a residual.
+  checked from the rows of one M x M matrix S = L C L^dag, in O(M^3) with no
+  dense witness, and every claim comes back as a residual.
 * ``darwinism_curve`` / ``redundancy`` quantify how many environment
   fragments independently carry the system's classical information.  Every
   I(S:F) comes from d_s x d_s branch Gram matrices (``fragment_information``),
@@ -252,30 +252,29 @@ def _transposition_residuals(pair: JointPairState) -> np.ndarray:
     """Residual of undoing on the other side each transposition (i, j) of the
     positive basis, i < j in ``combinations`` order.
 
-    With Psi = L C R^T and A = L^dag P L, the undo u_n = I + R (conj(A) - I) R^dag
-    that :func:`undo_on_n` builds for a flat spectrum takes Psi to
-    P Psi u_n^T = P L C A^dag R^T.  R has orthonormal columns, so the
-    phase-aligned ``distance`` to Psi is that of P L C A^dag to L C: an M x M
-    problem, with u_n and the other side's dimension never formed.  P gathers
-    rows of L, so a spectrum that is not flat leaves a residual.  On born's
-    fine states the residual of (i j) is sqrt(2) | |a_i| - |a_j| |, a pairwise
-    spread of the magnitudes.  The pairs go in batches of at most 2^18
-    restored entries.
+    The left Schmidt basis L must be square (d_p <= d_n * d_ancilla), hence
+    unitary; otherwise this raises ``DimensionMismatchError``.  With
+    Psi = L C R^T and S = L C L^dag, the undo that :func:`undo_on_n` builds for
+    a flat spectrum takes Psi to (P S P) L R^T, and Psi is S L R^T, so the
+    residual is || P S P - e^{i phi} S ||_F.  S and P S P are positive
+    semidefinite, so tr(S P S P) >= 0 and the best phase is 1.  P S P differs
+    from S only in rows and columns i and j, so with S Hermitian r(i j)^2 =
+    4 sum_{k not in {i, j}} |S_ik - S_jk|^2 + 2 |S_ii - S_jj|^2 + 2 |S_ij - S_ji|^2,
+    O(M) per pair.  On born's fine states the residual of (i j) is
+    sqrt(2) | |a_i| - |a_j| |, a pairwise spread of the magnitudes.
     """
     coeffs, left, _ = pair.schmidt_sides()
-    scaled = left * coeffs  # L C
+    if left.shape[0] != left.shape[1]:
+        raise DimensionMismatchError(f"left Schmidt basis {left.shape} is not square")
+    s = (left * coeffs) @ left.conj().T  # S = L C L^dag
     first, second = np.triu_indices(pair.pos_dim, 1)
-    perms = np.tile(np.arange(pair.pos_dim), (len(first), 1))
-    perms[np.arange(len(first)), first] = second
-    perms[np.arange(len(first)), second] = first
-    batches = -(-perms.size * left.shape[1] // 2 ** 18) or 1  # ceil, at least 1
-    out = []
-    for chunk in np.array_split(perms, batches):
-        action = left.conj().T @ left[chunk]  # A, one per pair
-        restored = scaled[chunk] @ np.conj(np.swapaxes(action, 1, 2))
-        phase = np.exp(-1j * np.angle(np.einsum("pij,ij->p", restored.conj(), scaled)))
-        out.append(np.linalg.norm(restored - phase[:, None, None] * scaled, axis=(1, 2)))
-    return np.concatenate(out)
+    rows = s[first]
+    rows -= s[second]
+    np.put_along_axis(rows, np.stack([first, second], axis=1), 0.0, axis=1)
+    diagonal = np.diagonal(s)
+    return np.sqrt(4.0 * np.sum(np.abs(rows) ** 2, axis=1)
+                   + 2.0 * np.abs(diagonal[first] - diagonal[second]) ** 2
+                   + 2.0 * np.abs(s[first, second] - s[second, first]) ** 2)
 
 
 def born_from_envariance(weights: RationalWeights) -> BornOutcome:
@@ -287,8 +286,8 @@ def born_from_envariance(weights: RationalWeights) -> BornOutcome:
     |e_k>|0> maps to the equal superposition over the m_k doubled states of
     block k.  All M fine-grained amplitudes come out at 1/sqrt(M), and every
     transposition of fine branches is envariant: it is undone on the
-    complementary side.  All C(M, 2) transpositions are checked in one batch
-    in the M x M Schmidt coordinates of the fine state
+    complementary side.  All C(M, 2) transpositions are checked from the rows
+    of S = L C L^dag, the environment side's sqrt(rho), in O(M^3)
     (:func:`_transposition_residuals`); no dense witness is built.  The
     returned probabilities are the exact branch counts.  Every claim comes
     back as a residual on the outcome; only the budget and the weights raise.

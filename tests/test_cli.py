@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -431,6 +432,14 @@ def test_born_uneven_coarse_amplitude_fails_flatness_and_envariance(monkeypatch,
     assert {"fine_amplitudes_flat", "branch_transpositions_envariant"} <= failed
 
 
+@pytest.mark.parametrize("weights", ["2,3", "1,2,3,4", "12"])
+def test_born_off_by_one_denominator_fails_spectrum_check(weights, monkeypatch, capsys):
+    # probabilities m_k / (M + 1) no longer equal the squared Schmidt spectrum
+    monkeypatch.setattr(collapse, "Fraction", lambda a, b: Fraction(a, b + 1))
+    failed = _failed_checks(["born", "--weights", weights], capsys)
+    assert failed == {"probabilities_equal_squared_spectrum"}
+
+
 def test_darwinism_norm_drift_fails_global_purity(monkeypatch, capsys):
     monkeypatch.setattr(collapse, "controlled_shift_gate", _scaled_dense_shift(1.001))
     failed = _failed_checks(["darwinism", "--env-qubits", "6"], capsys)
@@ -549,6 +558,67 @@ def test_grothendieck_one_step_outside_its_domain_exits_two(top):
 ])
 def test_darwinism_one_step_outside_its_domain_exits_two(flag, value):
     code, out, err = _main_captured(["darwinism", f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:")
+
+
+BORN_CHECKS = ["fine_amplitudes_flat", "branch_transpositions_envariant",
+               "probabilities_equal_squared_spectrum", "fine_graining_unitary",
+               "global_purity"]
+
+
+def _composition(ends: list[bool]) -> tuple[int, ...]:
+    """The composition of len(ends) + 1 with a part ending after each True."""
+    parts, size = [], 1
+    for end in ends:
+        if end:
+            parts.append(size)
+            size = 1
+        else:
+            size += 1
+    return (*parts, size)
+
+
+@given(weights=st.lists(st.booleans(), max_size=7).map(_composition))
+@example(weights=(128,))  # the budget edge: 1 * 128^2 = 2^14
+@example(weights=(1, 89))  # 2 * 90^2
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_born_passes_over_its_validated_domain(weights):
+    argv = ["born", "--weights", ",".join(map(str, weights))]
+    code, out, err = _main_captured(argv)
+    assert (code, err) == (0, ""), argv
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in report["checks"]] == BORN_CHECKS
+    total = sum(weights)
+    assert report["results"]["transpositions_checked"] == math.comb(total, 2)
+    assert [Fraction(p) for p in report["results"]["probabilities"]] == [
+        Fraction(m, total) for m in weights]
+
+
+NOHIDE_CHECKS = ["bleached_marginal_input_independent",
+                 "bleached_marginal_maximally_mixed", "recovery_distance",
+                 "ancilla_dimension_exact", "bleach_map_unitary"]
+
+
+@given(d=st.integers(2, 4), inputs=st.integers(2, 5), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_nohide_passes_over_its_validated_domain(d, inputs, seed):
+    argv = ["nohide", "--dim", str(d), "--inputs", str(inputs), "--seed", str(seed)]
+    code, out, err = _main_captured(argv)
+    assert (code, err) == (0, ""), argv
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in report["checks"]] == NOHIDE_CHECKS
+    assert report["results"] == {"dim": d, "inputs": inputs}
+
+
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("born", "--weights", "129"), ("born", "--weights", "1,90"),  # 129^2, 2 * 91^2
+    ("born", "--weights", "0"), ("born", "--weights", "1,-1"),
+    ("born", "--weights", "1.5"), ("nohide", "--dim", "1"), ("nohide", "--dim", "26"),
+    ("nohide", "--inputs", "1"), ("nohide", "--inputs", "501"), ("nohide", "--seed", "-1"),
+])
+def test_born_and_nohide_one_step_outside_their_domain_exit_two(scenario, flag, value):
+    code, out, err = _main_captured([scenario, f"{flag}={value}"])
     assert (code, out) == (2, "")
     assert err.startswith("config error:")
 

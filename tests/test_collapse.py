@@ -41,6 +41,7 @@ from unicollapse.linalg import (
     distance,
     entropy,
     fidelity,
+    haar_unitary,
     partial_trace,
     random_state,
     tensor,
@@ -235,7 +236,10 @@ def test_born_fine_graining_is_unitary_and_pure():
     assert abs(global_entropy(out.coarse)) <= 1e-9
 
 
-@pytest.mark.parametrize("weights", [(2, 3, 5), (3, 4), (1,) * 6, (1, 2, 1, 3)])
+WITNESS_WEIGHTS = [(2, 3, 5), (3, 4), (1,) * 6, (1, 2, 1, 3)]
+
+
+@pytest.mark.parametrize("weights", WITNESS_WEIGHTS)
 def test_batched_transpositions_match_dense_witnesses(weights):
     out = born_from_envariance(RationalWeights(weights))
     m_total = sum(weights)
@@ -248,6 +252,86 @@ def test_batched_transpositions_match_dense_witnesses(weights):
         swap[[i, j]] = swap[[j, i]]
         dense = undo_on_n(pair, Operator(swap)).residual
         assert abs(residual - dense) <= 1e-14
+
+
+def _mm_transposition_residuals(pair: JointPairState) -> np.ndarray:
+    """The M x M reference kernel: for each transposition P, the restored
+    P L C A^dag with A = L^dag P L against L C, after the best global phase."""
+    coeffs, left, _ = pair.schmidt_sides()
+    scaled = left * coeffs  # L C
+    first, second = np.triu_indices(pair.pos_dim, 1)
+    perms = np.tile(np.arange(pair.pos_dim), (len(first), 1))
+    perms[np.arange(len(first)), first] = second
+    perms[np.arange(len(first)), second] = first
+    action = left.conj().T @ left[perms]  # A, one per pair
+    restored = scaled[perms] @ np.conj(np.swapaxes(action, 1, 2))
+    phase = np.exp(-1j * np.angle(np.einsum("pij,ij->p", restored.conj(), scaled)))
+    return np.linalg.norm(restored - phase[:, None, None] * scaled, axis=(1, 2))
+
+
+def _sqrt_rho_residuals(pair: JointPairState) -> np.ndarray:
+    """||P R P - R||_F per transposition P, with R = sqrt(rho) and rho = Psi Psi^dag
+    on the positive side: no Schmidt decomposition and no kernel algebra."""
+    psi = pair.joint.amplitudes.reshape(pair.pos_dim, pair.right_dim)
+    eigenvalues, vectors = np.linalg.eigh(psi @ psi.conj().T)
+    root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.conj().T
+    out = []
+    for i, j in combinations(range(pair.pos_dim), 2):
+        swap = np.eye(pair.pos_dim)
+        swap[[i, j]] = swap[[j, i]]
+        out.append(np.linalg.norm(swap @ root @ swap - root))
+    return np.array(out)
+
+
+def _compositions(total: int):
+    for cuts in range(total):
+        for marks in combinations(range(1, total), cuts):
+            points = (0,) + marks + (total,)
+            yield tuple(points[i + 1] - points[i] for i in range(len(points) - 1))
+
+
+REFERENCE_WEIGHTS = [w for m in range(1, 7) for w in _compositions(m)] + WITNESS_WEIGHTS
+
+
+def _perturbed_fine_pair(weights, eps: float, rotate: bool, rng) -> JointPairState:
+    """Born's fine state, environment first, optionally under Haar
+    U_E (x) U_S (x) U_R, plus complex Gaussian noise of scale ``eps``."""
+    fine = born_from_envariance(RationalWeights(weights)).fine
+    k, m, _ = fine.factor_dims
+    amps = fine.amplitudes.reshape(k, m, m).transpose(1, 0, 2)
+    if rotate:
+        u_e, u_s, u_r = (haar_unitary(d, rng).entries for d in (m, k, m))
+        amps = np.einsum("ea,sb,rc,abc->esr", u_e, u_s, u_r, amps, optimize=True)
+    amps = amps + eps * (rng.standard_normal(amps.shape)
+                         + 1j * rng.standard_normal(amps.shape))
+    return JointPairState(StateVector(amps.reshape(-1) / np.linalg.norm(amps),
+                                      (m, k, m)), (m, k * m))
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+def test_transposition_residuals_match_both_references_off_zero(eps, rotate):
+    # native fine states give exactly 0.0 on every path; noise makes every
+    # spectrum uneven and S complex, so each term of the row formula counts
+    rng = np.random.default_rng(29)
+    smallest = math.inf
+    for weights in REFERENCE_WEIGHTS:
+        pair = _perturbed_fine_pair(weights, eps, rotate, rng)
+        residuals = _transposition_residuals(pair)
+        assert len(residuals) == math.comb(sum(weights), 2)
+        np.testing.assert_allclose(residuals, _mm_transposition_residuals(pair),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(residuals, _sqrt_rho_residuals(pair),
+                                   rtol=0, atol=1e-14)
+        if len(residuals):
+            smallest = min(smallest, float(residuals.min()))
+    assert smallest > eps / 10
+
+
+def test_transposition_residuals_need_a_unitary_left_basis():
+    pair = JointPairState(random_state(6, 0), (3, 2))  # L is 3 x 2
+    with pytest.raises(DimensionMismatchError):
+        _transposition_residuals(pair)
 
 
 def test_born_residuals_are_returned_not_raised(monkeypatch):
@@ -276,7 +360,9 @@ def test_born_transpositions_are_chunked():
         tracemalloc.stop()
     assert out.transpositions_checked == 2016
     assert out.transposition_residual_max <= 1e-9
-    assert peak < 64 * 2 ** 20  # one unchunked 2016 x 64 x 64 stack is 126 MiB
+    # one 2016 x 64 x 64 stack, an M x M matrix per pair, would be 126 MiB;
+    # the row kernel's 2016 x 64 difference array is 2 MiB
+    assert peak < 64 * 2 ** 20
 
 
 def test_born_budget_and_validation():
