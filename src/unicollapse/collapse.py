@@ -23,9 +23,13 @@ norm drift of their output, measured before ``StateVector`` renormalizes it.
   I(S:F) comes from d_s x d_s branch Gram matrices (``fragment_information``),
   cross-checked in the darwinism scenario against a dense partial trace and
   against ``closed_form_curve``, which reads only N and the record angle.
-* ``bleach`` / ``recover`` implement information hiding into a d^2 ancilla:
-  the system marginal becomes input-independent while the input stays
-  recoverable by operations on the ancilla alone plus one fixed swap.
+* ``bleach`` / ``recover`` implement information hiding into a d^2 ancilla,
+  for a whole stack of inputs at once: the system marginal becomes
+  input-independent while the input stays recoverable by operations on the
+  ancilla alone plus one fixed swap.
+
+Gates come in three forms (below) and go through one kernel, ``_apply_gate``,
+which transposes a state only for a dense gate on non-adjacent axes.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ import numpy as np
 
 from .envariance import JointPairState
 from .linalg import (
-    DensityMatrix,
     DimensionMismatchError,
     Operator,
     StateVector,
     basis_state,
     entropy,
+    normalized,
     partial_trace,
     tensor,
 )
@@ -63,23 +67,31 @@ class BudgetError(ValueError):
 
 def _apply_gate(amps: np.ndarray, dims: Sequence[int], gate: np.ndarray,
                 axes: Sequence[int]) -> np.ndarray:
-    """Apply a gate to the given axes of a flattened state.
-
-    ``amps`` may also be a matrix holding one flattened state per column.
+    """Apply a gate to the given axes of a flattened state, or of each row of
+    a stack (n, D) of them.  A permutation is one gather, a diagonal one
+    broadcast multiply and a dense gate on ascending adjacent axes one matmul
+    on a contiguous view; only a dense gate on other axes transposes the state.
     """
-    n = len(dims)
-    order = list(axes) + [i for i in range(n) if i not in axes]
-    order += range(n, amps.ndim + n - 1)  # the column axis, if any
-    moved = np.transpose(amps.reshape(*dims, *amps.shape[1:]), order)
-    shape = moved.shape
-    moved = moved.reshape(math.prod(dims[i] for i in axes), -1)
-    if gate.ndim == 2:
-        moved = gate @ moved
-    elif gate.dtype.kind in "iu":  # row i moves to row gate[i]
-        moved = moved[np.argsort(gate)]
-    else:
-        moved = gate[:, None] * moved
-    return np.transpose(moved.reshape(shape), np.argsort(order)).reshape(amps.shape)
+    axes = list(axes)
+    rest = [i for i in range(len(dims)) if i not in axes]
+    batch, tensor_shape = amps.shape[:-1], (*amps.shape[:-1], *dims)
+    if gate.ndim == 1 and gate.dtype.kind in "iu":  # basis index i goes to gate[i]
+        index = np.arange(amps.shape[-1]).reshape(dims).transpose(*axes, *rest)
+        source = index.reshape(len(gate), -1)[np.argsort(gate)].reshape(index.shape)
+        return np.take(amps, source.transpose(np.argsort(axes + rest)).reshape(-1), axis=-1)
+    if gate.ndim == 1:  # the diagonal, its axes put in ascending order
+        diagonal = gate.reshape([dims[i] for i in axes]).transpose(np.argsort(axes))
+        return (amps.reshape(tensor_shape) * np.expand_dims(diagonal, rest)).reshape(amps.shape)
+    first, size = axes[0], math.prod(dims[i] for i in axes)
+    if axes == list(range(first, first + len(axes))):
+        after = math.prod(dims[first + len(axes):])
+        if after == 1:  # trailing axes: one product, not a matvec per prefix row
+            return (amps.reshape(-1, size) @ gate.T).reshape(amps.shape)
+        return (gate @ amps.reshape(-1, size, after)).reshape(amps.shape)
+    order = [*range(len(batch)), *(len(batch) + i for i in axes + rest)]
+    moved = np.transpose(amps.reshape(tensor_shape), order)
+    applied = gate @ moved.reshape(*batch, size, -1)
+    return np.transpose(applied.reshape(moved.shape), np.argsort(order)).reshape(amps.shape)
 
 
 def gate_defect(gate) -> float:
@@ -176,8 +188,8 @@ def premeasure(system: StateVector, n_env: int,
     for register in range(1, n_env + 1):
         amps = _apply_gate(amps, joint.factor_dims, gate, [0, register])
     drift = abs(float(np.linalg.norm(amps)) - 1.0)
-    # column k is gate |k, 0>; its register part is the record of branch k
-    written = _apply_gate(np.eye(d_s * d_s, dtype=complex)[:, ::d_s],
+    # row k is gate |k, 0>; its register part is the record of branch k
+    written = _apply_gate(np.eye(d_s * d_s, dtype=complex)[::d_s],
                           (d_s, d_s), gate, [0, 1]).reshape(d_s, d_s, d_s)
     labels = tuple(
         (k, complex(a)) for k, a in enumerate(system.amplitudes)
@@ -186,7 +198,7 @@ def premeasure(system: StateVector, n_env: int,
     return BranchingState(
         joint=StateVector(amps, joint.factor_dims),
         branch_labels=labels,
-        records=np.broadcast_to(np.einsum("kjk->kj", written), (n_env, d_s, d_s)),
+        records=np.broadcast_to(np.einsum("kkj->kj", written), (n_env, d_s, d_s)),
         gate=gate,
         n_env=n_env,
         norm_drift=drift,
@@ -498,10 +510,10 @@ def redundancy(curve: MutualInformationCurve, delta: float) -> float:
 
 @dataclass(frozen=True)
 class BleachResult:
-    """Bleached joint state on system (x) d^2 ancilla, plus the fixed marginal."""
+    """Bleached joints (n, d, d, d) and their system marginals (n, d, d)."""
 
-    joint: StateVector
-    sigma_system: DensityMatrix
+    joint: np.ndarray
+    sigma_system: np.ndarray
 
 
 DENSE_MAP_LIMIT = 4096
@@ -524,14 +536,21 @@ def _bleach_gates(d: int) -> list[tuple[np.ndarray, list[int]]]:
 
 
 def _bleach_apply(amps: np.ndarray, d: int) -> np.ndarray:
-    """The bleaching map on flattened (d, d, d) states, one per column."""
+    """The bleaching map on a stack (n, d^3) of flattened (d, d, d) states."""
     for gate, axes in _bleach_gates(d):
         amps = _apply_gate(amps, (d, d, d), gate, axes)
     return amps
 
 
-def bleach(psi: StateVector) -> BleachResult:
-    """Hide ``psi`` in a d^2-dimensional ancilla, leaving the system blank.
+def _marginals(joints: np.ndarray) -> np.ndarray:
+    """X X^dag: each joint's reduced density matrix on its first factor."""
+    x = joints.reshape(*joints.shape[:2], -1)
+    return x @ np.swapaxes(x.conj(), -1, -2)
+
+
+def bleach(psis: np.ndarray) -> BleachResult:
+    """Hide each state of the stack ``psis`` (n, d) in a d^2-dimensional
+    ancilla, leaving the system blank.
 
     The ancilla (two fresh d-dimensional registers) is Fourier-spread and
     coherently applies every shift-and-phase displacement to the system.
@@ -539,45 +558,44 @@ def bleach(psi: StateVector) -> BleachResult:
     exactly I/d for every input; the input itself is carried entirely by the
     correlations with the ancilla, from which :func:`recover` extracts it.
     """
-    d = psi.dim
+    n, d = psis.shape
     if d < 2:
         raise DimensionMismatchError("bleaching needs dimension at least 2")
     if d ** 3 > DIM_BUDGET:
         raise BudgetError(f"joint dimension {d}^3 exceeds the budget {DIM_BUDGET}")
-    amps = tensor(psi, basis_state(d, 0), basis_state(d, 0)).amplitudes
-    joint = StateVector(_bleach_apply(amps, d), (d, d, d))
-    return BleachResult(joint=joint, sigma_system=partial_trace(joint, keep=[0]))
+    amps = np.kron(psis, np.eye(1, d * d))  # each psi (x) |0, 0>
+    # unit rows, as StateVector normalized each joint
+    joint = normalized(_bleach_apply(amps, d)).reshape(n, d, d, d)
+    return BleachResult(joint=joint, sigma_system=_marginals(joint))
 
 
 def bleach_map(d: int) -> np.ndarray:
     """The input-independent bleaching map as a dense matrix, for ``gate_defect``."""
     if d ** 3 > DENSE_MAP_LIMIT:
         raise BudgetError(f"dense map dimension {d}^3 exceeds {DENSE_MAP_LIMIT}")
-    return _bleach_apply(np.eye(d ** 3, dtype=complex), d)
+    # row j of the mapped identity is the image of basis state j
+    return _bleach_apply(np.eye(d ** 3, dtype=complex), d).T
 
 
-def recover(joint: StateVector) -> StateVector:
-    """Undo a bleach by acting on the ancilla alone, then one fixed swap.
+def recover(joints: np.ndarray) -> np.ndarray:
+    """Undo the bleach of each joint of the stack (n, d, d, d) by acting on
+    the ancilla alone, then one fixed swap; return the states (n, d).
 
     The ancilla-local step inverts the Fourier spread on the second register
     and applies a subtract-and-relabel permutation, after which the hidden
     state sits in the first ancilla register; the fixed swap returns it to
     the system slot, whose marginal is then read out as the top eigenvector.
-    Its purity is not judged here: the caller's ``distance`` to the input
-    judges the recovery, whether or not the joint was ever bleached.
+    Its purity is not judged here: the caller's ``distances`` to the inputs
+    judge the recovery, whether or not the joints were ever bleached.
     """
-    dims = joint.factor_dims
-    if len(dims) != 3 or len(set(dims)) != 1:
-        raise DimensionMismatchError(
-            f"expected a (d, d, d) bleached joint, got factors {dims}"
-        )
-    d = dims[0]
-    amps = _apply_gate(joint.amplitudes, dims, fourier_matrix(d).conj().T, [2])
+    if joints.ndim != 4 or len(set(joints.shape[1:])) != 1:
+        raise DimensionMismatchError(f"expected (n, d, d, d) bleached joints, got {joints.shape}")
+    d, dims = joints.shape[1], joints.shape[1:]
+    amps = _apply_gate(joints.reshape(len(joints), -1), dims, fourier_matrix(d).conj().T, [2])
     u, v = np.divmod(np.arange(d * d), d)
     amps = _apply_gate(amps, dims, (v - u) % d * d + v, [1, 2])
-    swapped = StateVector(amps, dims).reordered([1, 0, 2])
-    reduced = partial_trace(swapped, keep=[0])
-    return StateVector(np.linalg.eigh(reduced.entries)[1][:, -1])
+    amps = _apply_gate(amps, dims, v * d + u, [0, 1])  # the fixed swap
+    return np.linalg.eigh(_marginals(amps.reshape(joints.shape)))[1][..., -1]
 
 
 # ---------------------------------------------------------------------------

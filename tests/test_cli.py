@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +38,6 @@ from unicollapse.linalg import (
     StateVector,
     distance,
     haar_unitary,
-    partial_trace,
     random_state,
 )
 
@@ -343,10 +343,11 @@ def test_tilted_reverse_rotation_fails_symmetry(seed, monkeypatch, capsys):
 def test_unbleached_joint_fails_recovery(monkeypatch, capsys):
     rng = np.random.default_rng(4)
 
-    def unbleached(psi):
-        d = psi.dim
-        joint = random_state(d ** 3, rng, (d, d, d))
-        return collapse.BleachResult(joint, partial_trace(joint, keep=[0]))
+    def unbleached(psis):
+        n, d = psis.shape
+        joint = np.stack([random_state(d ** 3, rng).amplitudes for _ in range(n)])
+        joint = joint.reshape(n, d, d, d)
+        return collapse.BleachResult(joint, collapse._marginals(joint))
 
     monkeypatch.setattr(cli, "bleach", unbleached)
     failed = _failed_checks(["nohide", "--dim", "3"], capsys)
@@ -357,16 +358,72 @@ def test_slightly_rotated_recovery_fails_distance(monkeypatch, capsys):
     # a 1e-6 rad error gives an infidelity of 1e-12, inside the old 1e-10 bound
     real = cli.recover
 
-    def rotated(joint):
-        out = real(joint).amplitudes
-        other = np.roll(out.conj(), 1)  # made orthogonal to out below
-        other -= np.vdot(out, other) * out
-        other /= np.linalg.norm(other)
-        return StateVector(math.cos(1e-6) * out + math.sin(1e-6) * other)
+    def rotated(joints):
+        out = real(joints)
+        other = np.roll(out.conj(), 1, axis=1)  # made orthogonal to out below
+        other -= np.vecdot(out, other)[:, None] * out
+        other /= np.linalg.norm(other, axis=1, keepdims=True)
+        return math.cos(1e-6) * out + math.sin(1e-6) * other
 
     monkeypatch.setattr(cli, "recover", rotated)
     failed = _failed_checks(["nohide", "--dim", "3"], capsys)
     assert failed == {"recovery_distance"}
+
+
+def _nan_recover(joints):
+    return np.full(joints.shape[:2], np.nan, dtype=complex)
+
+
+def test_nan_recovery_fails_its_check_with_a_null_residual(monkeypatch, capsys):
+    # a NaN residual must fail, not vanish from a max() fold, and the report
+    # stays strict JSON
+    monkeypatch.setattr(cli, "recover", _nan_recover)
+    assert main(["nohide", "--dim", "3", "--inputs", "5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out, parse_constant=_reject_constant)["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == {"recovery_distance"}
+    assert [c["residual"] for c in checks if c["name"] == "recovery_distance"] == [None]
+
+
+def test_nan_written_to_out_is_strict_json(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "recover", _nan_recover)
+    out = tmp_path / "nan"
+    assert main(["nohide", "--dim", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert not report["passed"]
+
+
+def test_nan_restoration_fails_its_check(monkeypatch, capsys):
+    real = envariance._residuals
+
+    def nan_residuals(*args):
+        residuals = real(*args)
+        residuals[-1] = np.nan  # one trial of one group; the others stay finite
+        return residuals
+
+    monkeypatch.setattr(envariance, "_residuals", nan_residuals)
+    failed = _failed_checks(["envariance-restore", "--trials", "20", "--seed", "5"], capsys)
+    assert failed == {"restoration_residual_max"}
+
+
+@pytest.mark.parametrize("shape", ["flat_ancilla", "system_ancilla_swapped"])
+def test_wrong_ancilla_factor_dims_fail_dimension_check(shape, monkeypatch, capsys):
+    # the right amplitudes under wrong factor dims: only the shape check sees it
+    real = cli.bleach
+
+    def misshaped(psis):
+        result = real(psis)
+        n, d = psis.shape
+        joint = result.joint.reshape(n, d, d * d) if shape == "flat_ancilla" \
+            else result.joint.reshape(n, d * d, d)
+        return collapse.BleachResult(joint, result.sigma_system)
+
+    monkeypatch.setattr(cli, "bleach", misshaped)
+    failed = _failed_checks(["nohide", "--dim", "3", "--inputs", "5"], capsys)
+    assert failed == {"ancilla_dimension_exact"}
 
 
 def _scaled_dense_shift(scale):
@@ -609,6 +666,20 @@ def test_nohide_passes_over_its_validated_domain(d, inputs, seed):
     report = json.loads(out, parse_constant=_reject_constant)
     assert [c["name"] for c in report["checks"]] == NOHIDE_CHECKS
     assert report["results"] == {"dim": d, "inputs": inputs}
+
+
+def test_nohide_stacks_are_chunked():
+    tracemalloc.start()
+    try:
+        report, code = run(ScenarioConfig(scenario="nohide", dim=25, inputs=200, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["passed"]
+    # one stack of all 200 joints is 48 MiB and the pass holds several at once
+    # (148 MiB measured unchunked); chunks of cli.NOHIDE_CHUNK amplitudes, 2 MiB
+    # each, kept it at 9 MiB
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("scenario, flag, value", [

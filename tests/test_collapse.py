@@ -1,5 +1,6 @@
 """Tests for the unitary measurement models."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,7 @@ from unicollapse.collapse import (
 )
 from unicollapse.envariance import JointPairState, undo_on_n
 from unicollapse.linalg import (
+    DensityMatrix,
     DimensionMismatchError,
     Operator,
     StateVector,
@@ -153,7 +155,7 @@ def test_structured_gates_equal_dense_gates(d):
     rng = np.random.default_rng(d)
     dims = (d, d, d)
     single = random_state(d ** 3, rng).amplitudes
-    batch = rng.normal(size=(d ** 3, 4)) + 1j * rng.normal(size=(d ** 3, 4))
+    batch = rng.normal(size=(4, d ** 3)) + 1j * rng.normal(size=(4, d ** 3))
     for structured, dense in cases:
         for axes in ([0, 2], [2, 0], [1, 0]):
             for amps in (single, batch):
@@ -165,11 +167,55 @@ def test_structured_gates_equal_dense_gates(d):
                     np.testing.assert_allclose(got, want, rtol=0, atol=bound)
                 else:
                     np.testing.assert_array_equal(got, want)
-        # a batch is the same as its columns one at a time
+        # a stack is the same as its rows one at a time
         got = _apply_gate(batch, dims, structured, [1, 0])
-        for column in range(batch.shape[1]):
+        for row in range(len(batch)):
             np.testing.assert_array_equal(
-                got[:, column], _apply_gate(batch[:, column], dims, structured, [1, 0]))
+                got[row], _apply_gate(batch[row], dims, structured, [1, 0]))
+
+
+def _full_operator(dims, gate, axes) -> np.ndarray:
+    """The gate on the whole space as M^T (G (x) I) M, where M is the explicit
+    0/1 matrix that moves ``axes`` to the front, in their given order."""
+    rest = [i for i in range(len(dims)) if i not in axes]
+    moved_dims = [dims[i] for i in axes + rest]
+    size = math.prod(dims)
+    move = np.zeros((size, size))
+    for index in itertools.product(*map(range, dims)):
+        moved = [index[i] for i in axes + rest]
+        move[np.ravel_multi_index(moved, moved_dims), np.ravel_multi_index(index, dims)] = 1
+    if gate.ndim == 2:
+        dense = gate
+    elif gate.dtype.kind in "iu":  # basis state i goes to gate[i]
+        dense = np.zeros((gate.size, gate.size))
+        dense[gate, np.arange(gate.size)] = 1
+    else:
+        dense = np.diag(gate)
+    return move.T @ np.kron(dense, np.eye(size // len(dense))) @ move
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 5), (3, 3, 3)])
+@pytest.mark.parametrize("axes", [[1], [2], [0, 1], [1, 0], [0, 2], [2, 0], [1, 2]])
+def test_apply_gate_matches_kron_oracle(dims, axes):
+    rng = np.random.default_rng(sum(dims) * 10 + len(axes))
+    size = math.prod(dims[i] for i in axes)
+    gates = {
+        "dense": haar_unitary(size, rng).entries,
+        "permutation": rng.permutation(size),
+        "diagonal": np.exp(2j * np.pi * rng.uniform(size=size)),
+    }
+    single = random_state(math.prod(dims), rng).amplitudes
+    stack = rng.normal(size=(3, single.size)) + 1j * rng.normal(size=(3, single.size))
+    for form, gate in gates.items():
+        full = _full_operator(dims, gate, axes)
+        for amps in (single, stack):
+            got = _apply_gate(amps, dims, gate, axes)
+            want = np.stack([full @ row for row in np.atleast_2d(amps)]).reshape(amps.shape)
+            if form == "permutation":
+                np.testing.assert_array_equal(got, want)
+            else:
+                bound = 4 * np.finfo(float).eps * np.max(np.abs(amps))
+                np.testing.assert_allclose(got, want, rtol=0, atol=bound)
 
 
 def test_gate_defect_flags_broken_structured_gates():
@@ -541,39 +587,56 @@ def test_closed_form_curve_matches_binary_entropy_formula(theta):
 # bleach / recover
 # ---------------------------------------------------------------------------
 
+def _stack(*states: StateVector) -> np.ndarray:
+    return np.stack([state.amplitudes for state in states])
+
+
 def test_bleach_basis_state_qubit():
-    res = bleach(basis_state(2, 0))
-    np.testing.assert_allclose(res.sigma_system.entries, np.eye(2) / 2,
-                               atol=1e-10)
-    assert res.joint.factor_dims == (2, 2, 2)  # ancilla dimension exactly d^2
-    rec = recover(res.joint)
+    res = bleach(_stack(basis_state(2, 0)))
+    np.testing.assert_allclose(res.sigma_system[0], np.eye(2) / 2, atol=1e-10)
+    assert res.joint.shape == (1, 2, 2, 2)  # ancilla dimension exactly d^2
+    rec = StateVector(recover(res.joint)[0])
     assert fidelity(rec, basis_state(2, 0)) >= 1 - 1e-10
 
 
 def test_bleach_output_is_input_independent():
     states = [basis_state(2, 0), plus_state(),
               StateVector([1, 1j]), random_state(2, 9)]
-    sigmas = [bleach(s).sigma_system for s in states]
+    sigmas = [DensityMatrix(sigma) for sigma in bleach(_stack(*states)).sigma_system]
     for i in range(len(sigmas)):
         for j in range(i + 1, len(sigmas)):
             assert distance(sigmas[i], sigmas[j]) <= 1e-10
 
 
 def test_bleach_and_recover_qutrits():
-    for seed in range(5):
-        psi = random_state(3, seed)
-        res = bleach(psi)
-        assert distance(res.sigma_system,
-                        partial_trace(res.joint, keep=[0])) <= 1e-12
-        np.testing.assert_allclose(res.sigma_system.entries, np.eye(3) / 3,
-                                   atol=1e-10)
-        assert fidelity(recover(res.joint), psi) >= 1 - 1e-10
+    states = [random_state(3, seed) for seed in range(5)]
+    res = bleach(_stack(*states))
+    recovered = recover(res.joint)
+    for psi, joint, sigma, rec in zip(states, res.joint, res.sigma_system, recovered):
+        # the batched X X^dag against the dense partial trace of each joint
+        assert distance(DensityMatrix(sigma),
+                        partial_trace(StateVector(joint, (3, 3, 3)), keep=[0])) <= 1e-12
+        np.testing.assert_allclose(sigma, np.eye(3) / 3, atol=1e-10)
+        assert fidelity(StateVector(rec), psi) >= 1 - 1e-10
+
+
+def test_bleach_and_recover_one_stack_equal_one_state_at_a_time():
+    states = _stack(*(random_state(4, seed) for seed in range(6)))
+    res = bleach(states)
+    recovered = recover(res.joint)
+    for i in range(len(states)):
+        one = bleach(states[i:i + 1])
+        np.testing.assert_allclose(one.joint[0], res.joint[i], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one.sigma_system[0], res.sigma_system[i],
+                                   rtol=0, atol=1e-15)
+        assert distance(StateVector(recover(one.joint)[0]),
+                        StateVector(recovered[i])) <= 1e-15
 
 
 def test_bleach_map_is_unitary_and_pure():
-    res = bleach(random_state(3, 4))
+    res = bleach(_stack(random_state(3, 4)))
     assert gate_defect(bleach_map(3)) <= 1e-10
-    assert abs(global_entropy(res.joint)) <= 1e-9
+    assert abs(global_entropy(StateVector(res.joint[0]))) <= 1e-9
 
 
 def test_bleach_map_matches_structured_bleach():
@@ -583,7 +646,7 @@ def test_bleach_map_matches_structured_bleach():
             psi = random_state(d, seed)
             start = tensor(psi, basis_state(d, 0), basis_state(d, 0))
             np.testing.assert_allclose(dense @ start.amplitudes,
-                                       bleach(psi).joint.amplitudes,
+                                       bleach(_stack(psi)).joint.reshape(-1),
                                        rtol=0, atol=1e-12)
     with pytest.raises(BudgetError):
         bleach_map(17)
@@ -597,12 +660,14 @@ def test_bleach_map_defect_is_returned_not_raised(monkeypatch):
 
 def test_bleach_budget():
     with pytest.raises(BudgetError):
-        bleach(random_state(26, 0))
+        bleach(_stack(random_state(26, 0)))
 
 
 def test_recover_rejects_unbleached_input():
     with pytest.raises(DimensionMismatchError):
-        recover(random_state(8, 1, (2, 2, 2, 1)))
+        recover(random_state(8, 1).amplitudes.reshape(1, 2, 2, 2, 1))
+    with pytest.raises(DimensionMismatchError):
+        recover(random_state(12, 1).amplitudes.reshape(1, 2, 2, 3))
 
 
 # ---------------------------------------------------------------------------
