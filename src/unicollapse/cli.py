@@ -10,10 +10,13 @@ Usage:
 
 Every run emits a ``report-v1`` JSON document (stdout, plus ``report.json``
 under ``--out`` when given) listing one pass/fail entry per check with its
-residual and tolerance.  Identical configs and seeds produce byte-identical
-reports and artifacts up to the wall-time field.  A scenario may also read a
-JSON config file (``--config``); explicit flags win over file values, and
-unknown config keys are rejected.
+residual and tolerance.  ``run`` folds every check one way: its residual is
+the max of one residual per problem (0 over none), or their sum for a count,
+and a NaN or an infinity among them fails the check and reads ``null``.
+Identical configs and seeds produce byte-identical reports and artifacts up
+to the wall-time field.  A scenario may also read a JSON config file
+(``--config``); explicit flags win over file values, and unknown config keys
+are rejected.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad config
 (a value of the wrong type or out of range, or an unwritable ``--out``).
@@ -64,6 +67,7 @@ from .linalg import (
     normalized,
     schmidt_stack,
     unitarity_defects,
+    zero_nonfinite,
 )
 from .tolerances import DEFAULT_TOL, DIM_BUDGET
 
@@ -179,25 +183,24 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _check(name: str, residual: float, tolerance: float) -> dict:
-    """One check entry; a NaN or infinite residual fails and reads null."""
-    residual = float(residual)
+def _check(name: str, residuals: list, tolerance: float, fold=np.maximum) -> dict:
+    """One check entry: ``fold`` (np.maximum, or np.add for a count) reduces its
+    residual arrays from 0; a NaN or infinity among them fails and reads null."""
+    values = np.concatenate([np.zeros(0), *residuals], axis=None)
+    finite = bool(np.isfinite(values).all())
+    residual = float(fold.reduce(values, initial=0.0)) if finite else None
     return {
         "name": name,
-        "passed": residual <= tolerance,
-        "residual": residual if math.isfinite(residual) else None,
+        "passed": finite and residual <= tolerance,
+        "residual": residual,
         "tolerance": float(tolerance),
     }
 
 
-def _worst(*values) -> float:
-    """max(0, values...) over scalars and arrays; NaN if any value is NaN."""
-    return float(np.max(np.concatenate([np.ravel(v) for v in values]), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
-# Scenario bodies: each returns (checks, results, artifact_payloads)
-# where artifact_payloads maps filename -> text content.
+# Scenario bodies: each returns (checks, results, artifact_payloads), where
+# each check is (name, residual arrays, tolerance[, fold]) for ``_check`` and
+# artifact_payloads maps filename -> text content.
 # ---------------------------------------------------------------------------
 
 def _integer(x: GroupElement):
@@ -211,27 +214,23 @@ def _run_grothendieck_int(cfg: ScenarioConfig):
     # int16.  Sparse axes broadcast each a-slice to its full (R, R, R) verdict.
     values = np.arange(top + 1, dtype=np.int16)
     b, c, d = np.ix_(values, values, values)
-    relation_mismatches = 0
-    arithmetic_mismatches = 0
-    tuples_checked = 0
+    relation, addition, tuples_checked = [], [], 0
     cd = GroupElement(MonoidPair(c, d), NATURALS_ADD)
     for a in values:
         got = pair_equivalent_bulk(a, b, c, d, NATURALS_ADD)
-        oracle = (a - b) == (c - d)
-        relation_mismatches += int(np.count_nonzero(got != oracle))
+        relation.append(np.count_nonzero(got != (a - b == c - d)))
         tuples_checked += got.size
         # group_add on array-valued elements maps onto integer +
         matches = _integer(group_add(GroupElement(MonoidPair(a, b), NATURALS_ADD),
                                      cd)) == (a - b) + (c - d)
-        arithmetic_mismatches += int(np.count_nonzero(~matches))
+        addition.append(np.count_nonzero(~matches))
     # group_neg depends on (a, b) only: one check over that grid
     a_grid, b_grid = np.ix_(values, values)
     neg = _integer(group_neg(GroupElement(MonoidPair(a_grid, b_grid), NATURALS_ADD)))
-    arithmetic_mismatches += int(np.count_nonzero(neg != -(a_grid - b_grid)))
 
     checks = [
-        _check("relation_matches_integer_oracle", relation_mismatches, 0),
-        _check("add_neg_homomorphism", arithmetic_mismatches, 0),
+        ("relation_matches_integer_oracle", [relation], 0, np.add),
+        ("add_neg_homomorphism", [addition, neg != -(a_grid - b_grid)], 0, np.add),
     ]
     return checks, {"tuples_checked": tuples_checked}, {}
 
@@ -254,7 +253,7 @@ def _run_envariance_restore(cfg: ScenarioConfig):
         _, left, right = schmidt_stack(amps)
         u_p, u_n = env._synthesize_stack(left, right, phases)
         residuals.append(env._residuals(u_p, amps, u_n, amps))
-    checks = [_check("restoration_residual_max", _worst(*residuals), DEFAULT_TOL.witness)]
+    checks = [("restoration_residual_max", residuals, DEFAULT_TOL.witness)]
     return checks, {"trials": cfg.trials}, {}
 
 
@@ -297,12 +296,9 @@ def _run_equiv_laws(cfg: ScenarioConfig):
         groups.setdefault((d_p, d_n), []).append((normals, symmetry, *trials, chain))
 
     # Pass 2: every verdict, witness, residual and unitarity defect, stacked
-    # over the triples of one dimension pair
-    reflexivity_failures = 0
-    law_failures = 0
-    symmetry_worst = 0.0
-    transitivity_worst = 0.0
-    unitarity_worst = 0.0
+    # over the triples of one dimension pair, one residual per triple: 0 where
+    # the laws fail (no witness) or for a verdict whose spectra differ
+    reflexivity, law_failures, reverses, chains, unitarity = [[] for _ in range(5)]
     for (d_p, d_n), items in groups.items():
         normals, symmetry, *trials, chain = map(np.stack, zip(*items))
         x, y, z = _laws_states(normals, d_p, d_n)
@@ -317,12 +313,9 @@ def _run_equiv_laws(cfg: ScenarioConfig):
         yz = env._verdict_stack(y, z, rot_y, undo_y)
         xz = env._verdict_stack(x, z, rot_x, undo_x)
         yx = env._verdict_stack(y, x, rot_y, undo_y)
-        for verdict in (xx, xy, yz, xz, yx):
-            unitarity_worst = _unitarity_max(unitarity_worst, verdict.operators,
-                                             verdict.spectra_equal)
-        reflexivity_failures += int(np.count_nonzero(~xx.related))
+        reflexivity.append(~xx.related)
         laws = xy.related & yx.related & yz.related & xz.related
-        law_failures += int(np.count_nonzero(~laws))
+        law_failures.append(~laws)
 
         forward_p, forward_n = xy.operators[:2]
         v_p = env._dagger(forward_p @ env._phase_stack(y_sides[0], symmetry))
@@ -338,17 +331,20 @@ def _run_equiv_laws(cfg: ScenarioConfig):
             a, b, c, d, e, f, ancilla, ancilla, ancilla_unitary, ancilla_unitary, w_p)
         # a chain over a rejected link, or a leaking link undo, is rejected
         chained = env._rejected(chained, np.maximum.reduce([leakage, first[2], second[2]]))
-        symmetry_worst = _worst(symmetry_worst, reverse[laws])
-        transitivity_worst = _worst(transitivity_worst, chained[laws])
-        unitarity_worst = _unitarity_max(
-            unitarity_worst, [v_p, v_n, *first[:2], ancilla_unitary, *second[:2],
-                              ancilla_unitary, w_p, w_n, w_chi], laws)
+        reverses.append(np.where(laws, reverse, 0.0))
+        chains.append(np.where(laws, chained, 0.0))
+        witnesses = [v_p, v_n, *first[:2], ancilla_unitary, *second[:2], ancilla_unitary,
+                     w_p, w_n, w_chi]
+        masked = [(v.operators, v.spectra_equal) for v in (xx, xy, yz, xz, yx)]
+        unitarity.append(np.max([np.where(mask, unitarity_defects(op), 0.0)
+                                 for ops, mask in [*masked, (witnesses, laws)]
+                                 for op in ops], axis=0))
     checks = [
-        _check("reflexivity_failures", reflexivity_failures, 0),
-        _check("verdict_law_failures", law_failures, 0),
-        _check("symmetry_residual_max", symmetry_worst, DEFAULT_TOL.witness),
-        _check("transitivity_residual_max", transitivity_worst, DEFAULT_TOL.witness),
-        _check("witness_unitarity_max", unitarity_worst, DEFAULT_TOL.unitary),
+        ("reflexivity_failures", reflexivity, 0, np.add),
+        ("verdict_law_failures", law_failures, 0, np.add),
+        ("symmetry_residual_max", reverses, DEFAULT_TOL.witness),
+        ("transitivity_residual_max", chains, DEFAULT_TOL.witness),
+        ("witness_unitarity_max", unitarity, DEFAULT_TOL.unitary),
     ]
     return checks, {"triples": cfg.triples}, {}
 
@@ -360,30 +356,24 @@ def _envariant_trials(sides, blocks, trials) -> tuple[list, list]:
     return rotations, [env._undo_stack(sides, blocks, r) for r in rotations]
 
 
-def _unitarity_max(worst: float, ops: list, mask: np.ndarray) -> float:
-    """``worst`` raised to the unitarity defect of each stacked operator in
-    ``ops``, over the problems ``mask`` selects."""
-    return _worst(worst, np.max([unitarity_defects(op) for op in ops], axis=0)[mask])
-
-
 def _run_born(cfg: ScenarioConfig):
     weights = RationalWeights(tuple(cfg.weights))
     outcome = born_from_envariance(weights)
     checks = [
-        _check("fine_amplitudes_flat", outcome.flatness, DEFAULT_TOL.born_amplitude),
-        _check("branch_transpositions_envariant",
-               outcome.transposition_residual_max, DEFAULT_TOL.witness),
-        _check("probabilities_equal_squared_spectrum", outcome.spectrum_gap,
-               DEFAULT_TOL.born_amplitude),
-        _check("fine_graining_unitary", gate_defect(outcome.fine_grain_unitary),
-               DEFAULT_TOL.unitary),
-        _check("global_purity", outcome.norm_drift, DEFAULT_TOL.norm),
+        ("fine_amplitudes_flat", [outcome.flatness], DEFAULT_TOL.born_amplitude),
+        ("branch_transpositions_envariant", [outcome.transposition_residuals],
+         DEFAULT_TOL.witness),
+        ("probabilities_equal_squared_spectrum", [outcome.spectrum_gap],
+         DEFAULT_TOL.born_amplitude),
+        ("fine_graining_unitary", [gate_defect(outcome.fine_grain_unitary)],
+         DEFAULT_TOL.unitary),
+        ("global_purity", [outcome.norm_drift], DEFAULT_TOL.norm),
     ]
     results = {
         "probabilities": [f"{p.numerator}/{p.denominator}"
                           for p in outcome.probabilities],
         "denominator": weights.total,
-        "transpositions_checked": outcome.transpositions_checked,
+        "transpositions_checked": len(outcome.transposition_residuals),
     }
     return checks, results, {}
 
@@ -398,23 +388,21 @@ def _run_darwinism(cfg: ScenarioConfig):
     records = branching.records  # (register, branch, record amplitude)
     overlaps = np.einsum("ja,ja->j", records[:, 0].conj(), records[:, 1])
     closed = closed_form_curve(n, cfg.record_angle)
-    closed_gap = _worst([abs(p.mean_information - closed[p.fragment_size])
-                         for p in curve.points])
-    monotone_defect = _worst([curve.mean_at(f) - curve.mean_at(f + 1) for f in range(n)])
+    closed_gap = [abs(p.mean_information - closed[p.fragment_size]) for p in curve.points]
+    monotone_defect = [curve.mean_at(f) - curve.mean_at(f + 1) for f in range(n)]
     joint = branching.joint  # the dense path checks each size's first fragment
     h_dense = _marginal_entropy(joint, [0])
-    gram_gap = _worst([abs(p.first_information - h_dense
-                           - _marginal_entropy(joint, list(p.first_fragment))
-                           + _marginal_entropy(joint, [0, *p.first_fragment]))
-                       for p in curve.points[1:]])
+    gram_gap = [abs(p.first_information - h_dense
+                    - _marginal_entropy(joint, list(p.first_fragment))
+                    + _marginal_entropy(joint, [0, *p.first_fragment]))
+                for p in curve.points[1:]]
     checks = [
-        _check("broadcast_gate_unitary", gate_defect(branching.gate),
-               DEFAULT_TOL.unitary),
-        _check("global_purity", branching.norm_drift, DEFAULT_TOL.norm),
-        _check("gram_matches_dense", gram_gap, DEFAULT_TOL.witness),
-        _check("curve_matches_closed_form", closed_gap, DEFAULT_TOL.curve),
-        _check("curve_monotone_defect", monotone_defect, DEFAULT_TOL.curve),
-        _check("records_match_angle", np.max(np.abs(overlaps - c)), DEFAULT_TOL.witness),
+        ("broadcast_gate_unitary", [gate_defect(branching.gate)], DEFAULT_TOL.unitary),
+        ("global_purity", [branching.norm_drift], DEFAULT_TOL.norm),
+        ("gram_matches_dense", [gram_gap], DEFAULT_TOL.witness),
+        ("curve_matches_closed_form", [closed_gap], DEFAULT_TOL.curve),
+        ("curve_monotone_defect", [monotone_defect], DEFAULT_TOL.curve),
+        ("records_match_angle", [np.abs(overlaps - c)], DEFAULT_TOL.witness),
     ]
     results = {
         "system_entropy_bits": curve.system_entropy,
@@ -431,27 +419,29 @@ def _run_nohide(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     normals = rng.standard_normal((cfg.inputs, 2, d))  # random_state's draws
     psis = normalized(normals[:, 0] + 1j * normals[:, 1])
-    mixed, spread, recovery, shapes = [], [], [], set()
+    mixed, spread, recovery, misshaped = [], [], [], []
     size = max(1, NOHIDE_CHUNK // d ** 3)
     for start in range(0, cfg.inputs, size):
         chunk = psis[start:start + size]
         result = bleach(chunk)
         sigmas = result.sigma_system
         sigma_0 = sigmas[0] if start == 0 else sigma_0
-        mixed.append(np.abs(sigmas - np.eye(d) / d))
+        mixed.append(np.max(np.abs(sigmas - np.eye(d) / d), axis=(1, 2)))
         # D(s_i, s_j) <= D(s_i, s_0) + D(s_0, s_j), an O(n) bound on every
         # pair, and 2 D(s_i, s_0) is the sum of |eigenvalues| of s_i - s_0
-        spread.append(np.sum(np.abs(np.linalg.eigvalsh(sigmas - sigma_0)), axis=-1))
-        shapes.add(result.joint.shape[1:])
+        diffs, finite = zero_nonfinite(sigmas - sigma_0)
+        spread.append(np.where(finite, np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=-1),
+                               np.nan))
+        misshaped.append(result.joint.shape[1:] != (d, d, d))
         recovery.append(distances(recover(result.joint.reshape(-1, d, d, d)), chunk))
     # the dense map within DENSE_MAP_LIMIT; beyond it, each gate bleach applies
     gates = [bleach_map(d)] if d ** 3 <= DENSE_MAP_LIMIT else [g for g, _ in _bleach_gates(d)]
     checks = [
-        _check("bleached_marginal_input_independent", _worst(*spread), DEFAULT_TOL.bleach),
-        _check("bleached_marginal_maximally_mixed", _worst(*mixed), DEFAULT_TOL.bleach),
-        _check("recovery_distance", _worst(*recovery), DEFAULT_TOL.witness),
-        _check("ancilla_dimension_exact", 0.0 if shapes == {(d, d, d)} else 1.0, 0),
-        _check("bleach_map_unitary", _worst(*map(gate_defect, gates)), DEFAULT_TOL.unitary),
+        ("bleached_marginal_input_independent", spread, DEFAULT_TOL.bleach),
+        ("bleached_marginal_maximally_mixed", mixed, DEFAULT_TOL.bleach),
+        ("recovery_distance", recovery, DEFAULT_TOL.witness),
+        ("ancilla_dimension_exact", [misshaped], 0),
+        ("bleach_map_unitary", [[gate_defect(g) for g in gates]], DEFAULT_TOL.unitary),
     ]
     return checks, {"dim": d, "inputs": cfg.inputs}, {}
 
@@ -474,7 +464,8 @@ def run(cfg: ScenarioConfig) -> tuple[dict, int]:
     """Execute one scenario and return (report, exit_code)."""
     cfg.validate()
     started = time.perf_counter()
-    checks, results, artifact_payloads = _RUNNERS[cfg.scenario](cfg)
+    entries, results, artifact_payloads = _RUNNERS[cfg.scenario](cfg)
+    checks = [_check(*entry) for entry in entries]
     elapsed = time.perf_counter() - started
 
     out_dir = None if cfg.out is None else Path(cfg.out)

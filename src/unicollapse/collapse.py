@@ -52,6 +52,7 @@ from .linalg import (
     normalized,
     partial_trace,
     tensor,
+    zero_nonfinite,
 )
 from .tolerances import DEFAULT_TOL, DIM_BUDGET
 
@@ -244,8 +245,9 @@ class BornOutcome:
     ``fine_grain_unitary`` is the permutation gate that copies the fine index.
     The residuals: ``flatness`` of the fine amplitudes against 1/sqrt(M) (and
     0 off the M branches), ``spectrum_gap`` between the probabilities and the
-    squared Schmidt coefficients of ``coarse``, the worst undo of a branch
-    transposition, and ``norm_drift`` of the fine state before renormalizing.
+    squared Schmidt coefficients of ``coarse``, the undo of each of the
+    C(M, 2) branch transpositions (``transposition_residuals``), and
+    ``norm_drift`` of the fine state before renormalizing.
     """
 
     weights: RationalWeights
@@ -253,8 +255,7 @@ class BornOutcome:
     coarse: StateVector
     fine: StateVector
     fine_grain_unitary: np.ndarray
-    transpositions_checked: int
-    transposition_residual_max: float
+    transposition_residuals: np.ndarray
     flatness: float
     spectrum_gap: float
     norm_drift: float
@@ -329,10 +330,7 @@ def born_from_envariance(weights: RationalWeights) -> BornOutcome:
     target[:m_total] = 1.0 / math.sqrt(m_total)
     flatness = np.max(np.abs(np.sort(np.abs(fine_state.amplitudes))[::-1] - target))
 
-    env_first = fine_state.reordered([1, 0, 2])
-    pair = JointPairState(env_first, (m_total, k_outcomes * m_total))
-    residuals = _transposition_residuals(pair)
-
+    pair = JointPairState(fine_state.reordered([1, 0, 2]), (m_total, k_outcomes * m_total))
     probabilities = tuple(Fraction(mk, m_total) for mk in weights.m)
     squared = np.sort(np.linalg.svd(coarse_state.amplitudes.reshape(coarse.shape),
                                     compute_uv=False) ** 2)[::-1]
@@ -344,8 +342,7 @@ def born_from_envariance(weights: RationalWeights) -> BornOutcome:
         coarse=coarse_state,
         fine=fine_state,
         fine_grain_unitary=fine_grain,
-        transpositions_checked=len(residuals),
-        transposition_residual_max=float(np.max(residuals, initial=0.0)),
+        transposition_residuals=_transposition_residuals(pair),
         flatness=float(flatness),
         spectrum_gap=float(np.max(np.abs(squared - expected))),
         norm_drift=drift,
@@ -584,9 +581,9 @@ def recover(joints: np.ndarray) -> np.ndarray:
     The ancilla-local step inverts the Fourier spread on the second register
     and applies a subtract-and-relabel permutation, after which the hidden
     state sits in the first ancilla register; the fixed swap returns it to
-    the system slot, whose marginal is then read out as the top eigenvector.
-    Its purity is not judged here: the caller's ``distances`` to the inputs
-    judge the recovery, whether or not the joints were ever bleached.
+    the system slot, whose marginal is then read out as the top eigenvector
+    (NaN if not finite).  Its purity is not judged here: the caller's
+    ``distances`` to the inputs judge the recovery, bleached joints or not.
     """
     if joints.ndim != 4 or len(set(joints.shape[1:])) != 1:
         raise DimensionMismatchError(f"expected (n, d, d, d) bleached joints, got {joints.shape}")
@@ -595,7 +592,10 @@ def recover(joints: np.ndarray) -> np.ndarray:
     u, v = np.divmod(np.arange(d * d), d)
     amps = _apply_gate(amps, dims, (v - u) % d * d + v, [1, 2])
     amps = _apply_gate(amps, dims, v * d + u, [0, 1])  # the fixed swap
-    return np.linalg.eigh(_marginals(amps.reshape(joints.shape)))[1][..., -1]
+    marginals, finite = zero_nonfinite(_marginals(amps.reshape(joints.shape)))
+    vectors = np.linalg.eigh(marginals)[1]
+    vectors[~finite] = np.nan
+    return vectors[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,13 @@ def unitarity_defects(ops: np.ndarray) -> np.ndarray:
                   axis=(-2, -1))
 
 
+def zero_nonfinite(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the stack (..., d, d) with every non-finite matrix zeroed, the mask of
+    the finite ones), for an eigensolver that would raise on a non-finite one."""
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    return np.where(finite[..., None, None], mats, 0.0), finite
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for pure states."""
     if a.dim != b.dim:

@@ -409,6 +409,71 @@ def test_nan_restoration_fails_its_check(monkeypatch, capsys):
     assert failed == {"restoration_residual_max"}
 
 
+def test_nan_bleach_fails_its_checks_without_a_traceback(monkeypatch, capsys):
+    # NaN joints and marginals reach the trace-distance eigvalsh and recover's
+    # eigh, which would raise on them; each input's residual reads NaN instead
+    real = cli.bleach
+
+    def nan_bleach(psis):
+        result = real(psis)
+        return collapse.BleachResult(result.joint * np.nan, result.sigma_system * np.nan)
+
+    monkeypatch.setattr(cli, "bleach", nan_bleach)
+    assert main(["nohide", "--dim", "3", "--inputs", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads(captured.out, parse_constant=_reject_constant)["checks"]
+    assert {c["name"]: c["residual"] for c in checks if not c["passed"]} == {
+        "bleached_marginal_input_independent": None,
+        "bleached_marginal_maximally_mixed": None, "recovery_distance": None}
+
+
+def test_nan_in_the_first_group_fails_symmetry(monkeypatch, capsys):
+    # the fold reads every (d_p, d_n) group's residuals, not the last group's
+    real = envariance._reverse_stack
+    calls = []
+
+    def nan_first(*args):
+        v_n, residual, undo = real(*args)
+        if not calls:
+            residual[0] = np.nan
+        calls.append(len(residual))
+        return v_n, residual, undo
+
+    monkeypatch.setattr(envariance, "_reverse_stack", nan_first)
+    assert main(["equiv-laws", "--triples", "20", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(calls) > 1
+    checks = json.loads(captured.out, parse_constant=_reject_constant)["checks"]
+    assert {c["name"]: c["residual"] for c in checks if not c["passed"]} == {
+        "symmetry_residual_max": None}
+
+
+@pytest.mark.parametrize("residuals", [[], [np.zeros(0)], [np.zeros(0), np.zeros((0, 3))]])
+def test_fold_over_no_problems_reads_zero_and_passes(residuals):
+    for fold in (np.maximum, np.add):
+        assert cli._check("empty", residuals, 0, fold) == {
+            "name": "empty", "passed": True, "residual": 0.0, "tolerance": 0.0}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fold_fails_a_non_finite_residual_with_null(bad):
+    residuals = [np.array([1e-12, 2e-12]), np.array([3e-12, bad, 4e-12]), [5e-12]]
+    entry = cli._check("worst", residuals, 1e-9)
+    assert (entry["passed"], entry["residual"]) == (False, None)
+    # finite: the largest residual of every group
+    residuals[1][1] = 1e-13
+    assert cli._check("worst", residuals, 1e-9)["residual"] == 5e-12
+
+
+def test_count_fold_sums_failures_across_groups():
+    groups = [np.array([True, False]), np.array([False]), np.array([True, True, False])]
+    assert cli._check("failures", groups, 0, np.add) == {
+        "name": "failures", "passed": False, "residual": 3.0, "tolerance": 0.0}
+    assert cli._check("failures", [g & False for g in groups], 0, np.add)["passed"]
+
+
 @pytest.mark.parametrize("shape", ["flat_ancilla", "system_ancilla_swapped"])
 def test_wrong_ancilla_factor_dims_fail_dimension_check(shape, monkeypatch, capsys):
     # the right amplitudes under wrong factor dims: only the shape check sees it
@@ -528,6 +593,16 @@ def test_order_relation_fails_integer_oracle(monkeypatch, capsys):
     monkeypatch.setattr(cli, "NATURALS_ADD", ordered)
     failed = _failed_checks(["grothendieck-int", "--range", "6"], capsys)
     assert failed == {"relation_matches_integer_oracle"}
+
+
+def test_relation_count_sums_every_a_slice(monkeypatch):
+    # the order relation answers wrongly wherever a + d < b + c, in every
+    # a-slice of the sweep: the residual counts them all, (7^4 - 231) / 2
+    monkeypatch.setattr(cli, "NATURALS_ADD", dataclasses.replace(NATURALS_ADD, eq=operator.le))
+    report, code = run(ScenarioConfig(scenario="grothendieck-int", range_max=6))
+    a, b, c, d = np.ix_(*[np.arange(7)] * 4)
+    assert code == 1
+    assert report["checks"][0]["residual"] == np.count_nonzero(a + d < b + c) == 1085
 
 
 def test_grothendieck_sweep_counts_what_it_checks(monkeypatch):
