@@ -323,18 +323,14 @@ def _run_equiv_laws(cfg: ScenarioConfig):
                                                 forward_p, forward_n, v_p)
         reverse = env._rejected(reverse, undo.leakage)
         w_p, a, b, c, d, e, f = env._chain_states(chain, d_p, d_n)
-        ancilla = np.ones((len(a), 1), dtype=complex)
-        ancilla_unitary = ancilla[:, :, None]
-        first = env._link_stack(a, b, c, d, ancilla)
-        second = env._link_stack(c, d, e, f, ancilla)
-        w_n, w_chi, _, chained, leakage = env._chain_stack(
-            a, b, c, d, e, f, ancilla, ancilla, ancilla_unitary, ancilla_unitary, w_p)
+        first = env._link_stack(a, b, c, d)
+        second = env._link_stack(c, d, e, f)
+        w_n, w_chi, _, chained, leakage = env._chain_stack(a, b, c, d, e, f, w_p)
         # a chain over a rejected link, or a leaking link undo, is rejected
         chained = env._rejected(chained, np.maximum.reduce([leakage, first[2], second[2]]))
         reverses.append(np.where(laws, reverse, 0.0))
         chains.append(np.where(laws, chained, 0.0))
-        witnesses = [v_p, v_n, *first[:2], ancilla_unitary, *second[:2], ancilla_unitary,
-                     w_p, w_n, w_chi]
+        witnesses = [v_p, v_n, *first[:2], *second[:2], w_p, w_n, w_chi]
         masked = [(v.operators, v.spectra_equal) for v in (xx, xy, yz, xz, yx)]
         unitarity.append(np.max([np.where(mask, unitarity_defects(op), 0.0)
                                  for ops, mask in [*masked, (witnesses, laws)]

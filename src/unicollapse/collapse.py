@@ -35,6 +35,7 @@ which transposes a state only for a dense gate on non-adjacent axes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -42,7 +43,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envariance import JointPairState
 from .linalg import (
     DimensionMismatchError,
     Operator,
@@ -51,6 +51,7 @@ from .linalg import (
     entropy,
     normalized,
     partial_trace,
+    schmidt_stack,
     tensor,
     zero_nonfinite,
 )
@@ -217,7 +218,10 @@ class RationalWeights:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.m)
+        try:
+            values = tuple(operator.index(v) for v in self.m)
+        except TypeError:  # a non-integer: rejected below, not truncated
+            values = ()
         if not values or any(v < 1 for v in values):
             raise ValueError(f"weights must be positive integers, got {self.m}")
         object.__setattr__(self, "m", values)
@@ -261,12 +265,13 @@ class BornOutcome:
     norm_drift: float
 
 
-def _transposition_residuals(pair: JointPairState) -> np.ndarray:
+def _transposition_residuals(amps: np.ndarray) -> np.ndarray:
     """Residual of undoing on the other side each transposition (i, j) of the
-    positive basis, i < j in ``combinations`` order.
+    positive basis, i < j in ``combinations`` order, for the amplitude matrix
+    ``amps`` (d_p, d_n) of a pair state.
 
-    The left Schmidt basis L must be square (d_p <= d_n * d_ancilla), hence
-    unitary; otherwise this raises ``DimensionMismatchError``.  With
+    The left Schmidt basis L must be square (d_p <= d_n), hence unitary;
+    otherwise this raises ``DimensionMismatchError``.  With
     Psi = L C R^T and S = L C L^dag, the undo that :func:`undo_on_n` builds for
     a flat spectrum takes Psi to (P S P) L R^T, and Psi is S L R^T, so the
     residual is || P S P - e^{i phi} S ||_F.  S and P S P are positive
@@ -276,11 +281,11 @@ def _transposition_residuals(pair: JointPairState) -> np.ndarray:
     O(M) per pair.  On born's fine states the residual of (i j) is
     sqrt(2) | |a_i| - |a_j| |, a pairwise spread of the magnitudes.
     """
-    coeffs, left, _ = pair.schmidt_sides()
+    coeffs, left, _ = schmidt_stack(amps)
     if left.shape[0] != left.shape[1]:
         raise DimensionMismatchError(f"left Schmidt basis {left.shape} is not square")
     s = (left * coeffs) @ left.conj().T  # S = L C L^dag
-    first, second = np.triu_indices(pair.pos_dim, 1)
+    first, second = np.triu_indices(len(amps), 1)
     rows = s[first]
     rows -= s[second]
     np.put_along_axis(rows, np.stack([first, second], axis=1), 0.0, axis=1)
@@ -330,7 +335,8 @@ def born_from_envariance(weights: RationalWeights) -> BornOutcome:
     target[:m_total] = 1.0 / math.sqrt(m_total)
     flatness = np.max(np.abs(np.sort(np.abs(fine_state.amplitudes))[::-1] - target))
 
-    pair = JointPairState(fine_state.reordered([1, 0, 2]), (m_total, k_outcomes * m_total))
+    # the (M, K*M) amplitude matrix across the environment | system, record cut
+    by_env = fine_state.amplitudes.reshape(k_outcomes, m_total, m_total).swapaxes(0, 1)
     probabilities = tuple(Fraction(mk, m_total) for mk in weights.m)
     squared = np.sort(np.linalg.svd(coarse_state.amplitudes.reshape(coarse.shape),
                                     compute_uv=False) ** 2)[::-1]
@@ -342,7 +348,7 @@ def born_from_envariance(weights: RationalWeights) -> BornOutcome:
         coarse=coarse_state,
         fine=fine_state,
         fine_grain_unitary=fine_grain,
-        transposition_residuals=_transposition_residuals(pair),
+        transposition_residuals=_transposition_residuals(by_env.reshape(m_total, -1)),
         flatness=float(flatness),
         spectrum_gap=float(np.max(np.abs(squared - expected))),
         norm_drift=drift,

@@ -1,14 +1,16 @@
 """Envariant unitary synthesis and the swap-symmetry equivalence of pair states.
 
-A pair state couples a "positive" factor H_p with a "negative" factor H_n plus
-an optional ancilla (folded into the negative side for all spectral purposes).
-A unitary acting on H_p alone is *envariant* for a joint state when its effect
-can be undone by a unitary acting solely on the other side.  The construction
-runs through the Schmidt decomposition: the undoing unitary is the complex
-conjugate of the acting unitary's matrix, transported through the Schmidt
-correspondence a_k <-> b_k, and it exists exactly when the acting unitary
-preserves each degenerate coefficient block (swaps inside an equal-coefficient
-block included, mixing across distinct coefficients excluded).
+A pair state couples a "positive" factor H_p with a "negative" factor H_n and
+nothing else: the tensor-product monoid is cancellative, so the spectator k of
+a + d + k = b + c + k adds nothing (Atiyah, *K-Theory*, 1967), and neither pair
+states nor product-pair links carry an ancilla.  A unitary acting on H_p alone
+is *envariant* for a joint state when its effect can be undone by a unitary
+acting solely on the other side.  The construction runs through the Schmidt
+decomposition: the undoing unitary is the complex conjugate of the acting
+unitary's matrix, transported through the Schmidt correspondence a_k <-> b_k,
+and it exists exactly when the acting unitary preserves each degenerate
+coefficient block (swaps inside an equal-coefficient block included, mixing
+across distinct coefficients excluded).
 
 Equivalence of two pair states of matching factor dimensions is decided by
 Schmidt-spectrum equality -- the standard criterion for relatedness under
@@ -16,8 +18,9 @@ local unitaries -- and every positive verdict is backed by constructive
 witnesses: basis-transport unitaries mapping one state onto the other plus
 sampled envariant rotations, each carrying the residual of its defining
 equation.  ``symmetry_witness`` inverts a forward witness at a caller-chosen
-unitary; ``transitivity_witness`` assembles the chained witness whose ancilla
-register absorbs the middle pair of a two-link chain.
+unitary; ``transitivity_witness`` assembles the chained witness whose
+register chi = d (x) c, the one ancilla left, absorbs the middle pair of a
+two-link chain.
 
 Every construction is a stacked kernel over arrays of n problems that share
 their dimensions; the scenarios call the kernels on whole stacks, and each
@@ -33,8 +36,8 @@ alone.
 Note on slot bookkeeping: the chained identity equates two vectors whose
 like-dimensioned registers appear in different positions on the two sides.
 ``transitivity_witness`` therefore validates the identity after the canonical
-re-identification that swaps the pair register with the matching ancilla
-slots; the permutation is fixed by the construction, not fitted.
+re-identification that swaps the pair register with the matching chi slots;
+the permutation is fixed by the construction, not fitted.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from .linalg import (
     DimensionMismatchError,
     Operator,
     StateVector,
+    _integer_dims,
     basis_state,
     distance,
     distances,
     haar_from_normals,
-    identity,
     normalized,
     schmidt,
     schmidt_stack,
@@ -87,22 +90,20 @@ class RankMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 class JointPairState:
-    """A pure state on H_p (x) H_n (x) H_ancilla, ancilla dimension 1 allowed.
+    """A pure state on H_p (x) H_n, with ``dims`` exactly (d_p, d_n).
 
-    The positive/negative split is the cut all spectra refer to; the ancilla
-    always counts toward the negative side.  The Schmidt data of that cut is
-    computed once and cached -- instances are immutable, so every envariant
-    construction on the same state shares one decomposition.
+    The positive/negative split is the cut all spectra refer to.  The Schmidt
+    data of that cut is computed once and cached -- instances are immutable,
+    so every envariant construction on the same state shares one
+    decomposition.
     """
 
     __slots__ = ("joint", "dims", "_schmidt_cache")
 
     def __init__(self, joint: StateVector, dims: Sequence[int]):
-        d = tuple(int(x) for x in dims)
-        if len(d) == 2:
-            d = (d[0], d[1], 1)
-        if len(d) != 3 or any(x < 1 for x in d):
-            raise DimensionMismatchError(f"dims must be (d_p, d_n[, d_ancilla]), got {dims}")
+        d = _integer_dims(dims)
+        if len(d) != 2 or any(x < 1 for x in d):
+            raise DimensionMismatchError(f"dims must be (d_p, d_n), got {dims}")
         if math.prod(d) != joint.dim:
             raise DimensionMismatchError(
                 f"dims {d} do not multiply to joint dimension {joint.dim}"
@@ -117,11 +118,11 @@ class JointPairState:
     def schmidt_sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached (coefficients, left basis, right basis) across the pair cut.
 
-        Bases have min(d_p, d_n * d_ancilla) columns; the coefficient array is
+        Bases have min(d_p, d_n) columns; the coefficient array is
         sorted descending and includes zeros.
         """
         if self._schmidt_cache is None:
-            sides = schmidt(self.joint, (self.pos_dim, self.right_dim))
+            sides = schmidt(self.joint, self.dims)
             for array in sides:
                 array.setflags(write=False)
             object.__setattr__(self, "_schmidt_cache", sides)
@@ -135,30 +136,8 @@ class JointPairState:
     def neg_dim(self) -> int:
         return self.dims[1]
 
-    @property
-    def ancilla_dim(self) -> int:
-        return self.dims[2]
-
-    @property
-    def right_dim(self) -> int:
-        return self.dims[1] * self.dims[2]
-
-    def padded(self, ancilla_dim: int) -> "JointPairState":
-        """Embed the ancilla register into a larger one (zero padding)."""
-        if ancilla_dim == self.ancilla_dim:
-            return self
-        if ancilla_dim < self.ancilla_dim:
-            raise DimensionMismatchError("cannot shrink the ancilla register")
-        block = self.joint.amplitudes.reshape(self.dims)
-        padded = np.zeros((self.dims[0], self.dims[1], ancilla_dim), dtype=complex)
-        padded[:, :, : self.dims[2]] = block
-        return JointPairState(
-            StateVector(padded.reshape(-1), (self.dims[0], self.dims[1], ancilla_dim)),
-            (self.dims[0], self.dims[1], ancilla_dim),
-        )
-
     def spectrum(self) -> np.ndarray:
-        """Schmidt coefficients across the positive | negative+ancilla cut."""
+        """Schmidt coefficients across the positive | negative cut."""
         return self.schmidt_sides()[0]
 
     def __repr__(self) -> str:
@@ -169,13 +148,12 @@ class JointPairState:
 class WitnessSet:
     """The unitaries realizing one witness equation, with its residual.
 
-    ``u_p`` acts on the positive factor; ``u_n`` on whatever the construction
-    designates as the other side (the full negative+ancilla register for
-    restoration witnesses, the bare negative factor for chained links);
-    ``u_ancilla`` and ``ancilla`` are populated by constructions that need an
-    explicit ancilla register.  Construction does not judge the operators'
-    unitarity: whoever reports on a witness reads ``unitarity_defect`` of
-    each, as the equiv-laws scenario does.
+    ``u_p`` acts on the positive factor and ``u_n`` on the negative one.
+    Only :func:`transitivity_witness` fills ``ancilla``, the middle-pair
+    register chi = d (x) c of a chain, and ``u_ancilla``, its action there.
+    Construction does not judge the operators' unitarity: whoever reports on
+    a witness reads ``unitarity_defect`` of each, as the equiv-laws scenario
+    does.
     """
 
     u_p: Operator
@@ -183,9 +161,6 @@ class WitnessSet:
     u_ancilla: Optional[Operator] = None
     ancilla: Optional[StateVector] = None
     residual: float = 0.0
-
-    def accepted(self) -> bool:
-        return self.residual <= DEFAULT_TOL.witness
 
 
 @dataclass(frozen=True)
@@ -217,7 +192,7 @@ class EquivalenceVerdict:
 # ---------------------------------------------------------------------------
 
 class _Pairs(NamedTuple):
-    """Pair states (n, d_p, d_right) with the square Schmidt bases of their cut."""
+    """Pair states (n, d_p, d_n) with the square Schmidt bases of their cut."""
 
     amps: np.ndarray
     coeffs: np.ndarray
@@ -265,15 +240,15 @@ def _kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotated(amps: np.ndarray, u_p: np.ndarray, u_right: np.ndarray) -> np.ndarray:
-    """The normalized amplitude matrices of (u_p (x) u_right)|amps>."""
-    return normalized(u_p @ amps @ np.swapaxes(u_right, -1, -2)).reshape(amps.shape)
+def _rotated(amps: np.ndarray, u_p: np.ndarray, u_n: np.ndarray) -> np.ndarray:
+    """The normalized amplitude matrices of (u_p (x) u_n)|amps>."""
+    return normalized(u_p @ amps @ np.swapaxes(u_n, -1, -2)).reshape(amps.shape)
 
 
-def _residuals(u_p: np.ndarray, source: np.ndarray, u_right: np.ndarray,
+def _residuals(u_p: np.ndarray, source: np.ndarray, u_n: np.ndarray,
                target: np.ndarray) -> np.ndarray:
-    """distance((u_p (x) u_right)|source>, |target>) for each problem."""
-    moved = normalized(u_p @ source @ np.swapaxes(u_right, -1, -2))
+    """distance((u_p (x) u_n)|source>, |target>) for each problem."""
+    moved = normalized(u_p @ source @ np.swapaxes(u_n, -1, -2))
     return distances(moved, target.reshape(len(target), -1))
 
 
@@ -317,7 +292,7 @@ def _synthesize_stack(left: np.ndarray, right: np.ndarray,
 def _undo_stack(sides: tuple[np.ndarray, np.ndarray], blocks: Sequence[np.ndarray],
                 u_p: np.ndarray) -> _Undo:
     """:func:`undo_on_n` in Schmidt coordinates, reporting leakage instead of
-    raising.  ``sides`` holds the (n, d_p, k) and (n, d_right, k) Schmidt bases."""
+    raising.  ``sides`` holds the (n, d_p, k) and (n, d_n, k) Schmidt bases."""
     left, right = sides
     n, nb = len(u_p), len(blocks)
     support = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
@@ -383,12 +358,12 @@ def _reverse_stack(x_amps: np.ndarray, y_amps: np.ndarray,
     return v_n, _residuals(v_p, x_amps, v_n, y_amps), undo
 
 
-def _link_stack(a, b, c, d, ancilla):
+def _link_stack(a, b, c, d):
     """:func:`link_product_pairs` of (a, b) and (c, d): (u_p, u_n, residual)."""
     u_p = transport_unitary(c, a)
     u_n = transport_unitary(b, d)
-    lhs = normalized(_kron(a, d, ancilla))
-    rhs = normalized(_kron(_apply(u_p, c), _apply(u_n, b), normalized(ancilla)))
+    lhs = normalized(_kron(a, d))
+    rhs = normalized(_kron(_apply(u_p, c), _apply(u_n, b)))
     return u_p, u_n, distances(lhs, rhs)
 
 
@@ -401,19 +376,19 @@ def _link_undo_stack(left_pos, right_pos, left_neg, right_neg, u_p):
     return u_n, 1.0 - np.abs(overlap)
 
 
-def _chain_stack(a, b, c, d, e, f, xi, eta, u_xi, v_eta, w_p):
-    """:func:`transitivity_witness` for the links (a, b) ~ (c, d) ~ (e, f)
-    with ancillas xi and eta: (w_n, w_chi, chi, residual, leakage)."""
+def _chain_stack(a, b, c, d, e, f, w_p):
+    """:func:`transitivity_witness` for the links (a, b) ~ (c, d) ~ (e, f):
+    (w_n, w_chi, chi, residual, leakage)."""
     w_n, leak_first = _link_undo_stack(a, c, b, d, w_p)
     v_n, leak_second = _link_undo_stack(c, e, d, f, w_p)
-    chi = normalized(_kron(d, c, xi, eta))
-    w_chi = _kron(v_n, w_p, u_xi, v_eta)
+    chi = normalized(_kron(d, c))
+    w_chi = _kron(v_n, w_p)
     lhs = normalized(_kron(a, f, chi))
     rhs = normalized(_kron(_apply(w_p, e), _apply(w_n, b), _apply(w_chi, chi)))
     # the pair register and the matching chi slots trade places between the
     # two sides; undo that fixed relabeling before comparing
     d_p, d_n = a.shape[1], b.shape[1]
-    aligned = rhs.reshape(len(a), d_p, d_n, d_n, d_p, -1).transpose(0, 4, 3, 2, 1, 5)
+    aligned = rhs.reshape(len(a), d_p, d_n, d_n, d_p).transpose(0, 4, 3, 2, 1)
     residual = distances(lhs, normalized(aligned))
     return w_n, w_chi, chi, residual, np.maximum(leak_first, leak_second)
 
@@ -479,18 +454,14 @@ def _raise_if_leaking(coeffs: np.ndarray, blocks: Sequence[np.ndarray], undo: _U
             )
 
 
-def _pad_pair(x: JointPairState, y: JointPairState) -> tuple[JointPairState, JointPairState]:
-    if x.pos_dim != y.pos_dim or x.neg_dim != y.neg_dim:
-        raise DimensionMismatchError(
-            f"pair dimensions differ: {x.dims[:2]} vs {y.dims[:2]}"
-        )
-    target = max(x.ancilla_dim, y.ancilla_dim)
-    return x.padded(target), y.padded(target)
+def _require_same_dims(x: JointPairState, y: JointPairState) -> None:
+    if x.dims != y.dims:
+        raise DimensionMismatchError(f"pair dimensions differ: {x.dims} vs {y.dims}")
 
 
 def _one(psi: JointPairState) -> np.ndarray:
     """``psi``'s amplitude matrix as a stack of one."""
-    return psi.joint.amplitudes.reshape(1, psi.pos_dim, psi.right_dim)
+    return psi.joint.amplitudes.reshape(1, *psi.dims)
 
 
 def _sides(psi: JointPairState) -> tuple[np.ndarray, np.ndarray]:
@@ -566,8 +537,7 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     """Decide whether two pair states are related by side-local unitaries.
 
     The decision is Schmidt-spectrum equality across the positive | negative
-    cut (ancillas padded to a common register and folded into the negative
-    side).  On success the verdict carries constructive witnesses: first the
+    cut.  On success the verdict carries constructive witnesses: first the
     basis-transport pair mapping ``y`` onto ``x`` exactly, then ``trials``
     rotations sampled from ``x``'s envariant subgroup
     (:func:`sample_envariant_unitary`, seeded by ``(seed, trial)``) and
@@ -578,18 +548,18 @@ def pair_equivalent(x: JointPairState, y: JointPairState, trials: int = 6,
     is a rejected witness: its residual is raised to the leakage, and the
     verdict is not related.
     """
-    xp, yp = _pad_pair(x, y)
-    sx = xp.spectrum()
-    sy = yp.spectrum()
+    _require_same_dims(x, y)
+    sx = x.spectrum()
+    sy = y.spectrum()
     spectra_equal = bool(np.max(np.abs(sx - sy)) <= DEFAULT_TOL.spectrum)
     if not spectra_equal:
         return EquivalenceVerdict(False, sx, sy, (), trials)
 
     blocks = _support_blocks(sx)
-    rotations = [sample_envariant_unitary(xp, np.random.default_rng((seed, trial))).entries[None]
+    rotations = [sample_envariant_unitary(x, np.random.default_rng((seed, trial))).entries[None]
                  for trial in range(trials)]
-    undos = [_undo_stack(_sides(xp), blocks, rotation) for rotation in rotations]
-    verdict = _verdict_stack(_pairs(_one(xp)), _pairs(_one(yp)), rotations, undos)
+    undos = [_undo_stack(_sides(x), blocks, rotation) for rotation in rotations]
+    verdict = _verdict_stack(_pairs(_one(x)), _pairs(_one(y)), rotations, undos)
     ops = verdict.operators
     witnesses = tuple(WitnessSet(u_p=Operator(ops[2 * i][0]), u_n=Operator(ops[2 * i + 1][0]),
                                  residual=float(verdict.residuals[0, i]))
@@ -611,16 +581,16 @@ def symmetry_witness(x: JointPairState, y: JointPairState, forward: WitnessSet,
     satisfies (v_p (x) u_n)|x> = |y>.  Raises :class:`NotEnvariantError` when
     ``v_p`` falls outside the coset of unitaries the relation supports.
     """
-    xp, yp = _pad_pair(x, y)
+    _require_same_dims(x, y)
     forward_p, forward_n = forward.u_p.entries[None], forward.u_n.entries[None]
-    residual_fwd = _residuals(forward_p, _one(yp), forward_n, _one(xp))[0]
+    residual_fwd = _residuals(forward_p, _one(y), forward_n, _one(x))[0]
     if residual_fwd > DEFAULT_TOL.witness:
         raise ValueError(
             f"forward witness does not hold (residual {residual_fwd:.3e})"
         )
-    coeffs = yp.spectrum()
+    coeffs = y.spectrum()
     blocks = _support_blocks(coeffs)
-    v_n, residual, undo = _reverse_stack(_one(xp), _one(yp), _sides(yp), blocks,
+    v_n, residual, undo = _reverse_stack(_one(x), _one(y), _sides(y), blocks,
                                          forward_p, forward_n, v_p.entries[None])
     _raise_if_leaking(coeffs, blocks, undo)
     return WitnessSet(u_p=v_p, u_n=Operator(v_n[0]), residual=float(residual[0]))
@@ -636,30 +606,27 @@ class PairLink:
 
     The witness realizes the crossed defining equation
 
-        left_pos (x) right_neg (x) ancilla
-            = (u_p right_pos) (x) (u_n left_neg) (x) (u_ancilla ancilla)
+        left_pos (x) right_neg = (u_p right_pos) (x) (u_n left_neg)
 
-    at one canonical choice of u_p.  :func:`transitivity_witness` recomputes
-    the matching u_n at the positive-side unitary it is given.
+    at one canonical choice of u_p, with no ancilla: by cancellation, a
+    spectator on both sides adds nothing.  :func:`transitivity_witness`
+    recomputes the matching u_n at the positive-side unitary it is given.
     """
 
     left_pos: StateVector
     left_neg: StateVector
     right_pos: StateVector
     right_neg: StateVector
-    ancilla: StateVector
-    ancilla_unitary: Operator
     witness: WitnessSet
 
 
 def link_product_pairs(left: tuple[StateVector, StateVector],
-                       right: tuple[StateVector, StateVector],
-                       ancilla: Optional[StateVector] = None) -> PairLink:
+                       right: tuple[StateVector, StateVector]) -> PairLink:
     """Build and certify a link between two product pairs.
 
     Any two product pairs of matching slot dimensions are related; the
     canonical witness transports right_pos onto left_pos and left_neg onto
-    right_neg with no ancilla action.
+    right_neg.
     """
     a, b = left
     c, d = right
@@ -667,22 +634,10 @@ def link_product_pairs(left: tuple[StateVector, StateVector],
         raise DimensionMismatchError(
             f"slot dimensions differ: ({a.dim},{b.dim}) vs ({c.dim},{d.dim})"
         )
-    if ancilla is None:
-        ancilla = basis_state(1, 0)
-    u_p, u_n, residual = _link_stack(*(v.amplitudes[None] for v in (a, b, c, d, ancilla)))
-    u_anc = identity(ancilla.dim)
-    witness = WitnessSet(u_p=Operator(u_p[0]), u_n=Operator(u_n[0]), u_ancilla=u_anc,
-                         ancilla=ancilla, residual=float(residual[0]))
-    return PairLink(left_pos=a, left_neg=b, right_pos=c, right_neg=d,
-                    ancilla=ancilla, ancilla_unitary=u_anc, witness=witness)
-
-
-def _not_transported(leakage: float) -> NotEnvariantError:
-    return NotEnvariantError(
-        "unitary does not transport the link's positive slot",
-        mixed_coefficients=(1.0, 1.0 - leakage),
-        leakage=leakage,
-    )
+    u_p, u_n, residual = _link_stack(*(v.amplitudes[None] for v in (a, b, c, d)))
+    witness = WitnessSet(u_p=Operator(u_p[0]), u_n=Operator(u_n[0]),
+                         residual=float(residual[0]))
+    return PairLink(left_pos=a, left_neg=b, right_pos=c, right_neg=d, witness=witness)
 
 
 def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> WitnessSet:
@@ -690,11 +645,10 @@ def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> Wi
 
     With the links (a,b) ~ (c,d) and (c,d) ~ (e,f) and a caller-chosen
     ``w_p``, both link equations are evaluated at the same positive-side
-    unitary; the middle pair and the links' ancillas assemble into the new
-    ancilla register chi = d (x) c (x) xi (x) eta, acted on by
-    u_ancilla = (undo of second) (x) w_p (x) u_xi (x) v_eta.  The defining
-    identity is validated after the canonical slot re-identification (the pair
-    register exchanged with the matching chi slots).
+    unitary; the middle pair assembles into the ancilla register chi = d (x) c,
+    acted on by u_ancilla = (undo of second) (x) w_p.  The defining identity is
+    validated after the canonical slot re-identification (the pair register
+    exchanged with the matching chi slots).
     """
     if max(first.witness.residual, second.witness.residual) > DEFAULT_TOL.witness:
         raise ValueError("input witnesses must be accepted before chaining")
@@ -704,15 +658,14 @@ def transitivity_witness(first: PairLink, second: PairLink, w_p: Operator) -> Wi
             "links do not share their middle pair; cannot chain"
         )
     states = (first.left_pos, first.left_neg, first.right_pos, first.right_neg,
-              second.right_pos, second.right_neg, first.ancilla, second.ancilla)
+              second.right_pos, second.right_neg)
     w_n, w_chi, chi, residual, leakage = _chain_stack(
-        *(v.amplitudes[None] for v in states),
-        first.ancilla_unitary.entries[None], second.ancilla_unitary.entries[None],
-        w_p.entries[None])
+        *(v.amplitudes[None] for v in states), w_p.entries[None])
     if leakage[0] > DEFAULT_TOL.witness:
-        raise _not_transported(float(leakage[0]))
-    chi_dims = sum((v.factor_dims for v in (first.right_neg, first.right_pos,
-                                            first.ancilla, second.ancilla)), ())
+        leak = float(leakage[0])
+        raise NotEnvariantError("unitary does not transport the link's positive slot",
+                                mixed_coefficients=(1.0, 1.0 - leak), leakage=leak)
+    chi_dims = first.right_neg.factor_dims + first.right_pos.factor_dims
     return WitnessSet(u_p=w_p, u_n=Operator(w_n[0]), u_ancilla=Operator(w_chi[0]),
                       ancilla=StateVector(chi[0], chi_dims), residual=float(residual[0]))
 

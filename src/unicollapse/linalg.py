@@ -12,6 +12,7 @@ explicit seed (or an already-constructed ``numpy.random.Generator``).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -23,6 +24,15 @@ SeedLike = Union[int, np.random.Generator]
 
 class DimensionMismatchError(ValueError):
     """Shapes or factor dimensions do not line up."""
+
+
+def _integer_dims(dims: Iterable) -> tuple[int, ...]:
+    """``dims`` as Python ints, numpy integers included; a non-integer raises
+    :class:`DimensionMismatchError` instead of being truncated."""
+    try:
+        return tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise DimensionMismatchError(f"dimensions must be integers, got {dims}") from None
 
 
 def _as_rng(seed: SeedLike) -> np.random.Generator:
@@ -47,10 +57,7 @@ class StateVector:
 
     def __init__(self, amplitudes, factor_dims: Sequence[int] | None = None):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
-        if factor_dims is None:
-            dims = (amps.size,)
-        else:
-            dims = tuple(int(d) for d in factor_dims)
+        dims = (amps.size,) if factor_dims is None else _integer_dims(factor_dims)
         if any(d < 1 for d in dims) or math.prod(dims) != amps.size:
             raise DimensionMismatchError(
                 f"factor_dims {dims} do not multiply to amplitude count {amps.size}"
@@ -174,27 +181,20 @@ class DensityMatrix:
 # Operations
 # ---------------------------------------------------------------------------
 
-def tensor(*factors):
-    """Tensor product of states (or of operators), row-major flattening.
+def tensor(*factors: StateVector) -> StateVector:
+    """Tensor product of states, row-major flattening.
 
-    For states the result's factor_dims is the concatenation of the inputs'
-    factor_dims; amplitudes are the Kronecker product.
+    The result's factor_dims is the concatenation of the inputs' factor_dims;
+    amplitudes are the Kronecker product.
     """
     if not factors:
         raise ValueError("tensor() needs at least one argument")
-    if all(isinstance(f, StateVector) for f in factors):
-        amps = factors[0].amplitudes
-        dims: tuple[int, ...] = factors[0].factor_dims
-        for f in factors[1:]:
-            amps = np.kron(amps, f.amplitudes)
-            dims = dims + f.factor_dims
-        return StateVector(amps, dims)
-    if all(isinstance(f, Operator) for f in factors):
-        m = factors[0].entries
-        for f in factors[1:]:
-            m = np.kron(m, f.entries)
-        return Operator(m)
-    raise TypeError("tensor() arguments must be all StateVector or all Operator")
+    amps = factors[0].amplitudes
+    dims: tuple[int, ...] = factors[0].factor_dims
+    for f in factors[1:]:
+        amps = np.kron(amps, f.amplitudes)
+        dims = dims + f.factor_dims
+    return StateVector(amps, dims)
 
 
 def schmidt(psi: StateVector, cut: tuple[int, int], full: bool = False):
@@ -356,6 +356,8 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     minimizing phase so that nearly-identical states do not lose precision
     to the cancellation that formula suffers near |<a|b>| = 1.
     """
+    # C-contiguous rows, so the last bits do not depend on the caller's layout
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     overlap = np.vecdot(a, b)
     size = _modulus(overlap)
     phase = np.divide(overlap.conj(), size, out=np.ones_like(overlap),

@@ -216,8 +216,7 @@ def _rotated_residuals(fine: StateVector, rng) -> np.ndarray:
     u_s, u_e, u_r = (haar_unitary(d, rng).entries for d in (k, m, m))
     amps = np.einsum("sa,eb,rc,abc->esr", u_s, u_e, u_r,
                      fine.amplitudes.reshape(k, m, m), optimize=True)
-    pair = env.JointPairState(StateVector(amps.reshape(-1), (m, k, m)), (m, k * m))
-    return _transposition_residuals(pair)
+    return _transposition_residuals(amps.reshape(m, k * m))
 
 
 def test_criterion_5_rotated_frame():

@@ -46,6 +46,7 @@ from unicollapse.linalg import (
     haar_unitary,
     partial_trace,
     random_state,
+    schmidt_stack,
     tensor,
 )
 from unicollapse.tolerances import DEFAULT_TOL
@@ -291,7 +292,7 @@ def test_batched_transpositions_match_dense_witnesses(weights):
     m_total = sum(weights)
     pair = JointPairState(out.fine.reordered([1, 0, 2]),
                           (m_total, len(weights) * m_total))
-    batched = _transposition_residuals(pair)
+    batched = _transposition_residuals(pair.joint.amplitudes.reshape(pair.dims))
     assert len(batched) == len(out.transposition_residuals) == math.comb(m_total, 2)
     for residual, (i, j) in zip(batched, combinations(range(m_total), 2)):
         swap = np.eye(m_total)
@@ -300,13 +301,13 @@ def test_batched_transpositions_match_dense_witnesses(weights):
         assert abs(residual - dense) <= 1e-14
 
 
-def _mm_transposition_residuals(pair: JointPairState) -> np.ndarray:
+def _mm_transposition_residuals(psi: np.ndarray) -> np.ndarray:
     """The M x M reference kernel: for each transposition P, the restored
     P L C A^dag with A = L^dag P L against L C, after the best global phase."""
-    coeffs, left, _ = pair.schmidt_sides()
+    coeffs, left, _ = schmidt_stack(psi)
     scaled = left * coeffs  # L C
-    first, second = np.triu_indices(pair.pos_dim, 1)
-    perms = np.tile(np.arange(pair.pos_dim), (len(first), 1))
+    first, second = np.triu_indices(len(psi), 1)
+    perms = np.tile(np.arange(len(psi)), (len(first), 1))
     perms[np.arange(len(first)), first] = second
     perms[np.arange(len(first)), second] = first
     action = left.conj().T @ left[perms]  # A, one per pair
@@ -315,15 +316,14 @@ def _mm_transposition_residuals(pair: JointPairState) -> np.ndarray:
     return np.linalg.norm(restored - phase[:, None, None] * scaled, axis=(1, 2))
 
 
-def _sqrt_rho_residuals(pair: JointPairState) -> np.ndarray:
+def _sqrt_rho_residuals(psi: np.ndarray) -> np.ndarray:
     """||P R P - R||_F per transposition P, with R = sqrt(rho) and rho = Psi Psi^dag
     on the positive side: no Schmidt decomposition and no kernel algebra."""
-    psi = pair.joint.amplitudes.reshape(pair.pos_dim, pair.right_dim)
     eigenvalues, vectors = np.linalg.eigh(psi @ psi.conj().T)
     root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ vectors.conj().T
     out = []
-    for i, j in combinations(range(pair.pos_dim), 2):
-        swap = np.eye(pair.pos_dim)
+    for i, j in combinations(range(len(psi)), 2):
+        swap = np.eye(len(psi))
         swap[[i, j]] = swap[[j, i]]
         out.append(np.linalg.norm(swap @ root @ swap - root))
     return np.array(out)
@@ -339,9 +339,10 @@ def _compositions(total: int):
 REFERENCE_WEIGHTS = [w for m in range(1, 7) for w in _compositions(m)] + WITNESS_WEIGHTS
 
 
-def _perturbed_fine_pair(weights, eps: float, rotate: bool, rng) -> JointPairState:
-    """Born's fine state, environment first, optionally under Haar
-    U_E (x) U_S (x) U_R, plus complex Gaussian noise of scale ``eps``."""
+def _perturbed_fine_psi(weights, eps: float, rotate: bool, rng) -> np.ndarray:
+    """Born's fine state as an (M, K*M) amplitude matrix, environment first,
+    optionally under Haar U_E (x) U_S (x) U_R, plus complex Gaussian noise of
+    scale ``eps``."""
     fine = born_from_envariance(RationalWeights(weights)).fine
     k, m, _ = fine.factor_dims
     amps = fine.amplitudes.reshape(k, m, m).transpose(1, 0, 2)
@@ -350,8 +351,7 @@ def _perturbed_fine_pair(weights, eps: float, rotate: bool, rng) -> JointPairSta
         amps = np.einsum("ea,sb,rc,abc->esr", u_e, u_s, u_r, amps, optimize=True)
     amps = amps + eps * (rng.standard_normal(amps.shape)
                          + 1j * rng.standard_normal(amps.shape))
-    return JointPairState(StateVector(amps.reshape(-1) / np.linalg.norm(amps),
-                                      (m, k, m)), (m, k * m))
+    return amps.reshape(m, k * m) / np.linalg.norm(amps)
 
 
 @pytest.mark.parametrize("rotate", [False, True])
@@ -362,12 +362,12 @@ def test_transposition_residuals_match_both_references_off_zero(eps, rotate):
     rng = np.random.default_rng(29)
     smallest = math.inf
     for weights in REFERENCE_WEIGHTS:
-        pair = _perturbed_fine_pair(weights, eps, rotate, rng)
-        residuals = _transposition_residuals(pair)
+        psi = _perturbed_fine_psi(weights, eps, rotate, rng)
+        residuals = _transposition_residuals(psi)
         assert len(residuals) == math.comb(sum(weights), 2)
-        np.testing.assert_allclose(residuals, _mm_transposition_residuals(pair),
+        np.testing.assert_allclose(residuals, _mm_transposition_residuals(psi),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(residuals, _sqrt_rho_residuals(pair),
+        np.testing.assert_allclose(residuals, _sqrt_rho_residuals(psi),
                                    rtol=0, atol=1e-14)
         if len(residuals):
             smallest = min(smallest, float(residuals.min()))
@@ -375,9 +375,9 @@ def test_transposition_residuals_match_both_references_off_zero(eps, rotate):
 
 
 def test_transposition_residuals_need_a_unitary_left_basis():
-    pair = JointPairState(random_state(6, 0), (3, 2))  # L is 3 x 2
+    psi = random_state(6, 0).amplitudes.reshape(3, 2)  # L is 3 x 2
     with pytest.raises(DimensionMismatchError):
-        _transposition_residuals(pair)
+        _transposition_residuals(psi)
 
 
 def test_born_residuals_are_returned_not_raised(monkeypatch):
@@ -393,8 +393,8 @@ def test_born_residuals_are_returned_not_raised(monkeypatch):
     assert out.flatness > 1e-3
     assert np.max(out.transposition_residuals) > 1e-3
     assert out.norm_drift <= 1e-12
-    pair = JointPairState(out.fine.reordered([1, 0, 2]), (5, 10))
-    assert np.max(_transposition_residuals(pair)) > 1e-3
+    psi = out.fine.reordered([1, 0, 2]).amplitudes.reshape(5, 10)
+    assert np.max(_transposition_residuals(psi)) > 1e-3
 
 
 def test_born_transpositions_are_chunked():

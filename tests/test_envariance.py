@@ -47,10 +47,10 @@ from unicollapse.linalg import (
 SWAP2 = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
 
 
-def apply_two_sided(state: StateVector, d_p: int, d_right: int,
-                    u_p: Operator, u_right: Operator) -> StateVector:
-    """(u_p (x) u_right)|state> without materializing the Kronecker product."""
-    moved = u_p.entries @ state.amplitudes.reshape(d_p, d_right) @ u_right.entries.T
+def apply_two_sided(state: StateVector, d_p: int, d_n: int,
+                    u_p: Operator, u_n: Operator) -> StateVector:
+    """(u_p (x) u_n)|state> without materializing the Kronecker product."""
+    moved = u_p.entries @ state.amplitudes.reshape(d_p, d_n) @ u_n.entries.T
     return StateVector(moved.reshape(-1), state.factor_dims)
 
 
@@ -72,8 +72,8 @@ def random_pair(d_p: int, d_n: int, seed: int) -> JointPairState:
 
 def rotated_copy(x: JointPairState, seed: int) -> JointPairState:
     u = haar_unitary(x.pos_dim, seed)
-    v = haar_unitary(x.right_dim, seed + 1)
-    moved = apply_two_sided(x.joint, x.pos_dim, x.right_dim, u, v)
+    v = haar_unitary(x.neg_dim, seed + 1)
+    moved = apply_two_sided(x.joint, x.pos_dim, x.neg_dim, u, v)
     return JointPairState(moved, x.dims)
 
 
@@ -84,17 +84,8 @@ def rotated_copy(x: JointPairState, seed: int) -> JointPairState:
 def test_joint_pair_state_validates_dims():
     with pytest.raises(DimensionMismatchError):
         JointPairState(random_state(6, 0), (2, 2))
-
-
-def test_spectator_ancilla_leaves_spectrum_unchanged():
-    x = bell_pair()
-    with_anc = JointPairState(
-        tensor(basis_state(2, 0), basis_state(2, 0), random_state(3, 4)), (2, 2, 3)
-    )
-    base = JointPairState(tensor(basis_state(2, 0), basis_state(2, 0)), (2, 2))
-    np.testing.assert_allclose(with_anc.spectrum()[:2], base.spectrum(), atol=1e-12)
-    padded = x.padded(3)
-    np.testing.assert_allclose(padded.spectrum(), x.spectrum(), atol=1e-12)
+    with pytest.raises(DimensionMismatchError):  # no spectator slot
+        JointPairState(random_state(12, 0), (2, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def test_restoration_property_random_states():
         x = random_pair(int(d_p), int(d_n), int(rng.integers(1 << 31)))
         rank = int(np.sum(x.spectrum() > 1e-12))
         u_p, u_n = synthesize_envariant(x, rng.uniform(0.0, 2 * np.pi, size=rank))
-        restored = apply_two_sided(x.joint, x.pos_dim, x.right_dim, u_p, u_n)
+        restored = apply_two_sided(x.joint, x.pos_dim, x.neg_dim, u_p, u_n)
         assert distance(restored, x.joint) <= 1e-9
 
 
@@ -235,16 +226,6 @@ def test_pair_equivalent_bell_vs_product():
 def test_pair_equivalent_requires_matching_dims():
     with pytest.raises(DimensionMismatchError):
         pair_equivalent(random_pair(2, 3, 0), random_pair(3, 2, 0))
-
-
-def test_pair_equivalent_pads_ancillas():
-    x = random_pair(2, 3, 41)
-    spectator = basis_state(4, 2)
-    y_joint = tensor(x.joint, spectator)
-    y = JointPairState(StateVector(y_joint.amplitudes, (2, 3, 4)), (2, 3, 4))
-    verdict = pair_equivalent(x, y, trials=3, seed=5)
-    assert verdict.related
-    assert max(w.residual for w in verdict.witnesses) <= 1e-9
 
 
 def test_spectrum_soundness_adversarial():
@@ -424,12 +405,12 @@ def test_transitivity_qubit_chain_with_phase_unitaries():
     phase = w_p.entries[0, 0]
     c = StateVector(a.amplitudes / phase)  # w_p c = a exactly
     e = StateVector(c.amplitudes / phase)
-    first = link_product_pairs((a, b), (c, d), ancilla=random_state(2, 13))
-    second = link_product_pairs((c, d), (e, f), ancilla=random_state(2, 14))
+    first = link_product_pairs((a, b), (c, d))
+    second = link_product_pairs((c, d), (e, f))
     w = transitivity_witness(first, second, w_p)
     assert w.residual <= 1e-10
-    # six qubit-sized slots in play: pair register (2) plus chi (4)
-    assert 2 * 2 * w.ancilla.dim == 2 ** 6
+    # four qubit-sized slots in play: the pair register (2) plus chi = d (x) c (2)
+    assert w.ancilla.factor_dims == (2, 2)
     assert w.u_p is w_p
 
 
@@ -455,7 +436,6 @@ def test_transitivity_rejects_unaccepted_links():
     broken = PairLink(
         left_pos=first.left_pos, left_neg=first.left_neg,
         right_pos=first.right_pos, right_neg=first.right_neg,
-        ancilla=first.ancilla, ancilla_unitary=first.ancilla_unitary,
         witness=WitnessSet(u_p=first.witness.u_p, u_n=first.witness.u_n,
                            residual=0.5),
     )

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unicollapse.collapse import RationalWeights
+from unicollapse.envariance import JointPairState
 from unicollapse.linalg import (
     DensityMatrix,
     DimensionMismatchError,
@@ -14,10 +16,12 @@ from unicollapse.linalg import (
     StateVector,
     basis_state,
     distance,
+    distances,
     entropy,
     fidelity,
     haar_unitary,
     identity,
+    normalized,
     partial_trace,
     random_state,
     schmidt,
@@ -43,6 +47,17 @@ def test_state_is_normalized_on_construction():
 def test_state_rejects_bad_factor_dims():
     with pytest.raises(DimensionMismatchError):
         StateVector([1, 0, 0], (2, 2))
+
+
+@pytest.mark.parametrize("build, bad, good", [
+    (RationalWeights, (2.7, 3), (np.int64(2), np.int32(3))),
+    (lambda dims: JointPairState(random_state(4, 0), dims), (2.9, 2), (np.int64(2), 2)),
+    (lambda dims: StateVector(np.ones(4), dims), (2.5, 2), (np.int64(2), 2)),
+], ids=["RationalWeights", "JointPairState", "StateVector"])
+def test_integer_inputs_are_checked_not_truncated(build, bad, good):
+    with pytest.raises(ValueError):  # int() would truncate it silently
+        build(bad)
+    build(good)  # numpy integers still pass
 
 
 def test_state_rejects_zero_vector():
@@ -311,6 +326,19 @@ def test_distance_dimension_mismatch():
         distance(basis_state(2, 0), basis_state(3, 0))
     with pytest.raises(TypeError):
         distance(basis_state(2, 0), identity(2))
+
+
+@pytest.mark.parametrize("d", [8, 17, 25])
+def test_distances_do_not_depend_on_memory_layout(d):
+    # recover returns eigh's top eigenvectors as a strided view; a contiguous
+    # copy of the same numbers must give the same distances, bit for bit
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+    column = np.linalg.eigh(m + np.swapaxes(m.conj(), 1, 2))[1][..., -1]
+    assert not column.flags.c_contiguous
+    target = normalized(column + 1e-9 * rng.standard_normal(column.shape))
+    np.testing.assert_array_equal(distances(column, target),
+                                  distances(np.ascontiguousarray(column), target))
 
 
 def test_fidelity_of_identical_states():
