@@ -38,12 +38,12 @@ import numpy as np
 
 from . import envariance as env
 from .collapse import (
-    DENSE_MAP_LIMIT,
+    ROUND_TRIP_LIMIT,
     RationalWeights,
     _bleach_gates,
     _marginal_entropy,
     bleach,
-    bleach_map,
+    bleach_round_trip_defect,
     born_from_envariance,
     closed_form_curve,
     darwinism_curve,
@@ -430,14 +430,15 @@ def _run_nohide(cfg: ScenarioConfig):
                                np.nan))
         misshaped.append(result.joint.shape[1:] != (d, d, d))
         recovery.append(distances(recover(result.joint.reshape(-1, d, d, d)), chunk))
-    # the dense map within DENSE_MAP_LIMIT; beyond it, each gate bleach applies
-    gates = [bleach_map(d)] if d ** 3 <= DENSE_MAP_LIMIT else [g for g, _ in _bleach_gates(d)]
+    # the whole map within ROUND_TRIP_LIMIT; beyond it, each gate bleach applies
+    defects = ([bleach_round_trip_defect(d, NOHIDE_CHUNK)] if d ** 3 <= ROUND_TRIP_LIMIT
+               else [gate_defect(g) for g, _ in _bleach_gates(d)])
     checks = [
         ("bleached_marginal_input_independent", spread, DEFAULT_TOL.bleach),
         ("bleached_marginal_maximally_mixed", mixed, DEFAULT_TOL.bleach),
         ("recovery_distance", recovery, DEFAULT_TOL.witness),
         ("ancilla_dimension_exact", [misshaped], 0),
-        ("bleach_map_unitary", [[gate_defect(g) for g in gates]], DEFAULT_TOL.unitary),
+        ("bleach_map_unitary", [defects], DEFAULT_TOL.unitary),
     ]
     return checks, {"dim": d, "inputs": cfg.inputs}, {}
 

@@ -519,7 +519,7 @@ class BleachResult:
     sigma_system: np.ndarray
 
 
-DENSE_MAP_LIMIT = 4096
+ROUND_TRIP_LIMIT = 4096  # largest d^3 whose bleach map is checked as a whole
 
 
 def _controlled_phase(d: int) -> np.ndarray:
@@ -572,12 +572,40 @@ def bleach(psis: np.ndarray) -> BleachResult:
     return BleachResult(joint=joint, sigma_system=_marginals(joint))
 
 
-def bleach_map(d: int) -> np.ndarray:
-    """The input-independent bleaching map as a dense matrix, for ``gate_defect``."""
-    if d ** 3 > DENSE_MAP_LIMIT:
-        raise BudgetError(f"dense map dimension {d}^3 exceeds {DENSE_MAP_LIMIT}")
-    # row j of the mapped identity is the image of basis state j
-    return _bleach_apply(np.eye(d ** 3, dtype=complex), d).T
+def _adjoint(gate: np.ndarray) -> np.ndarray:
+    """The adjoint of a gate in the same form."""
+    if gate.ndim == 2:
+        return gate.conj().T
+    return np.argsort(gate) if gate.dtype.kind in "iu" else gate.conj()
+
+
+def bleach_round_trip_defect(d: int, chunk: int) -> float:
+    """max|U^dag U - I| of the bleaching map U on (d, d, d), from U^dag U e_j
+    for every basis state e_j, in stacks of about ``chunk`` amplitudes.
+
+    Each stack goes through ``_bleach_apply``, the function ``bleach`` runs,
+    then through every gate's adjoint in reverse order.  Column j of U^dag U
+    is U^dag U e_j, so the largest |U^dag U e_j - e_j| is the entrywise max
+    of the dense check, and no d^3 x d^3 matrix is built.  It sees a
+    non-unitary gate, a defect planted in ``_bleach_apply`` and a wrong
+    adjoint.  It cannot see a consistent axis bug in ``_apply_gate``, which
+    cancels between the two halves (``test_apply_gate_matches_kron_oracle``
+    checks the kernel against ``np.kron``), nor a non-bijective index array,
+    which ``_apply_gate`` applies as the permutation that sorts it; the
+    per-gate ``gate_defect`` sees that one.
+    """
+    size = d ** 3
+    if size > ROUND_TRIP_LIMIT:
+        raise BudgetError(f"round trip dimension {d}^3 exceeds {ROUND_TRIP_LIMIT}")
+    adjoints = [(_adjoint(gate), axes) for gate, axes in reversed(_bleach_gates(d))]
+    rows, worst = max(1, chunk // size), []
+    for start in range(0, size, rows):
+        basis = np.eye(min(rows, size - start), size, start, dtype=complex)
+        amps = _bleach_apply(basis, d)
+        for gate, axes in adjoints:
+            amps = _apply_gate(amps, (d, d, d), gate, axes)
+        worst.append(np.max(np.abs(amps - basis)))
+    return float(np.max(worst))  # NaN if any stack held one
 
 
 def recover(joints: np.ndarray) -> np.ndarray:

@@ -80,14 +80,6 @@ class StateVector:
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def reordered(self, order: Sequence[int]) -> "StateVector":
-        """Permute the tensor factors into the given order."""
-        if sorted(order) != list(range(len(self.factor_dims))):
-            raise DimensionMismatchError(f"invalid factor order {order}")
-        tensor_view = self.amplitudes.reshape(self.factor_dims)
-        new = np.transpose(tensor_view, order).reshape(-1)
-        return StateVector(new, tuple(self.factor_dims[i] for i in order))
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, factor_dims={self.factor_dims})"
 

@@ -25,7 +25,6 @@ from unicollapse.collapse import (
     RationalWeights,
     _bleach_apply,
     _transposition_residuals,
-    bleach_map,
     born_from_envariance,
     controlled_rotation_gate,
     controlled_shift_gate,
@@ -308,7 +307,7 @@ def _mutual_information(joint: StateVector, h_system: float,
 # 8. Global unitarity and purity across every evolution map
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_global_unitarity_and_purity():
+def test_criterion_8_global_unitarity_and_purity(bleach_map):
     defects = {
         "controlled_shift_d2": gate_defect(controlled_shift_gate(2)),
         "controlled_shift_d3": gate_defect(controlled_shift_gate(3)),

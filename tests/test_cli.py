@@ -273,10 +273,23 @@ def test_nearly_perfect_records_fail_angle_check(n, monkeypatch, capsys):
 
 
 def test_scaled_fourier_fails_bleach_unitarity_beyond_dense_limit(monkeypatch, capsys):
+    # beyond the round trip's limit, gate_defect reads each gate: 1.001^2 - 1
     real = collapse.fourier_matrix
     monkeypatch.setattr(collapse, "fourier_matrix", lambda dim: 1.001 * real(dim))
     failed = _failed_checks(["nohide", "--dim", "25", "--inputs", "12"], capsys)
     assert failed == {"bleach_map_unitary"}
+
+
+def test_scaled_fourier_fails_bleach_round_trip(monkeypatch, capsys):
+    # within the limit the round trip reads the whole map: U^dag U = 1.001^4 I
+    real = collapse.fourier_matrix
+    monkeypatch.setattr(collapse, "fourier_matrix", lambda dim: 1.001 * real(dim))
+    assert main(["nohide", "--dim", "8", "--inputs", "6", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert {name for name, c in checks.items() if not c["passed"]} == {"bleach_map_unitary"}
+    assert checks["bleach_map_unitary"]["residual"] == pytest.approx(1.001 ** 4 - 1, rel=1e-9)
 
 
 def test_scaled_envariant_rotation_fails_witness_unitarity(monkeypatch, capsys):
@@ -754,6 +767,19 @@ def test_nohide_stacks_are_chunked():
     # one stack of all 200 joints is 48 MiB and the pass holds several at once
     # (148 MiB measured unchunked); chunks of cli.NOHIDE_CHUNK amplitudes, 2 MiB
     # each, kept it at 9 MiB
+    assert peak < 32 * 2 ** 20
+
+
+def test_nohide_round_trip_is_chunked():
+    tracemalloc.start()
+    try:
+        report, code = run(ScenarioConfig(scenario="nohide", dim=16, inputs=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["passed"]
+    # the dense 4096 x 4096 map alone is 256 MiB; the round trip holds a few
+    # stacks of cli.NOHIDE_CHUNK amplitudes, 2 MiB each
     assert peak < 32 * 2 ** 20
 
 

@@ -20,7 +20,7 @@ from unicollapse.collapse import (
     _controlled_phase,
     _transposition_residuals,
     bleach,
-    bleach_map,
+    bleach_round_trip_defect,
     born_from_envariance,
     closed_form_curve,
     controlled_rotation_gate,
@@ -290,8 +290,8 @@ WITNESS_WEIGHTS = [(2, 3, 5), (3, 4), (1,) * 6, (1, 2, 1, 3)]
 def test_batched_transpositions_match_dense_witnesses(weights):
     out = born_from_envariance(RationalWeights(weights))
     m_total = sum(weights)
-    pair = JointPairState(out.fine.reordered([1, 0, 2]),
-                          (m_total, len(weights) * m_total))
+    fine = np.transpose(out.fine.amplitudes.reshape(out.fine.factor_dims), (1, 0, 2))
+    pair = JointPairState(StateVector(fine.reshape(-1)), (m_total, len(weights) * m_total))
     batched = _transposition_residuals(pair.joint.amplitudes.reshape(pair.dims))
     assert len(batched) == len(out.transposition_residuals) == math.comb(m_total, 2)
     for residual, (i, j) in zip(batched, combinations(range(m_total), 2)):
@@ -393,7 +393,8 @@ def test_born_residuals_are_returned_not_raised(monkeypatch):
     assert out.flatness > 1e-3
     assert np.max(out.transposition_residuals) > 1e-3
     assert out.norm_drift <= 1e-12
-    psi = out.fine.reordered([1, 0, 2]).amplitudes.reshape(5, 10)
+    fine = out.fine.amplitudes.reshape(out.fine.factor_dims)
+    psi = np.transpose(fine, (1, 0, 2)).reshape(5, 10)
     assert np.max(_transposition_residuals(psi)) > 1e-3
 
 
@@ -633,13 +634,13 @@ def test_bleach_and_recover_one_stack_equal_one_state_at_a_time():
                         StateVector(recovered[i])) <= 1e-15
 
 
-def test_bleach_map_is_unitary_and_pure():
+def test_bleach_map_is_unitary_and_pure(bleach_map):
     res = bleach(_stack(random_state(3, 4)))
     assert gate_defect(bleach_map(3)) <= 1e-10
     assert abs(global_entropy(StateVector(res.joint[0]))) <= 1e-9
 
 
-def test_bleach_map_matches_structured_bleach():
+def test_bleach_map_matches_structured_bleach(bleach_map):
     for d in (2, 3):
         dense = bleach_map(d)
         for seed in range(3):
@@ -649,13 +650,29 @@ def test_bleach_map_matches_structured_bleach():
                                        bleach(_stack(psi)).joint.reshape(-1),
                                        rtol=0, atol=1e-12)
     with pytest.raises(BudgetError):
-        bleach_map(17)
+        bleach_round_trip_defect(17, 2 ** 17)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_bleach_round_trip_matches_dense_twin(d, bleach_map, monkeypatch):
+    # chunks of 2^8 amplitudes: at d = 8 that is one basis state per stack
+    round_trip = bleach_round_trip_defect(d, 2 ** 8)
+    dense = gate_defect(bleach_map(d))
+    assert max(round_trip, dense) <= 2e-15
+    assert abs(round_trip - dense) <= 1e-15
+    real = collapse.fourier_matrix
+    monkeypatch.setattr(collapse, "fourier_matrix", lambda dim: 1.001 * real(dim))
+    scaled = bleach_round_trip_defect(d, 2 ** 17)
+    assert scaled == pytest.approx(gate_defect(bleach_map(d)), rel=1e-12)
+    assert scaled == pytest.approx(1.001 ** 4 - 1, rel=1e-9)
 
 
 def test_bleach_map_defect_is_returned_not_raised(monkeypatch):
-    # gate_defect is the map's one unitarity check, so a scenario can report it
-    monkeypatch.setattr(collapse, "_bleach_apply", lambda amps, d: 0.5 * amps)
-    assert gate_defect(bleach_map(2)) == pytest.approx(0.75, abs=1e-15)
+    # the round trip is the map's one unitarity check, so a scenario can
+    # report it; scaling the forward half alone makes U^dag U = 0.5 I
+    real = collapse._bleach_apply
+    monkeypatch.setattr(collapse, "_bleach_apply", lambda amps, d: 0.5 * real(amps, d))
+    assert bleach_round_trip_defect(2, 2 ** 17) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bleach_budget():

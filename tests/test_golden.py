@@ -23,8 +23,8 @@ from unicollapse.cli import SCENARIOS, ScenarioConfig, run
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FLOAT_ATOL = 1e-14
 
-# small configs: every scenario, both darwinism record modes, the dense and
-# the gate-by-gate bleach_map_unitary paths, and the README's commands
+# small configs: every scenario, both darwinism record modes, the round-trip
+# and the gate-by-gate bleach_map_unitary paths, and the README's commands
 CONFIGS = [
     dict(scenario="grothendieck-int", range_max=1),
     dict(scenario="grothendieck-int", range_max=6),
